@@ -19,6 +19,7 @@ import (
 	"replicatree/internal/delta"
 	"replicatree/internal/exact"
 	"replicatree/internal/experiments"
+	"replicatree/internal/fleet"
 	"replicatree/internal/gen"
 	"replicatree/internal/hetero"
 	"replicatree/internal/lp"
@@ -531,6 +532,47 @@ func BenchmarkServiceSolveWarm(b *testing.B) {
 func BenchmarkServiceSolveV2Cold(b *testing.B) { benchServiceSolve(b, "/v2/solve", 0) }
 func BenchmarkServiceSolveV2Warm(b *testing.B) {
 	benchServiceSolve(b, "/v2/solve", service.DefaultCacheSize)
+}
+
+// BenchmarkDecodeInstance is the one-pass instance decode of a cache
+// hit's request: the 205-node hit-replay instance through
+// core.Instance.UnmarshalJSON (tree arena built and validated).
+func BenchmarkDecodeInstance(b *testing.B) {
+	data, err := json.Marshal(hitInstance(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var in core.Instance
+		if err := in.UnmarshalJSON(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouterSolveHit is a /v2/solve cache hit through the fleet
+// router in process: the router decodes the body for its routing key,
+// then the owning worker decodes it again and answers from tier 1.
+func BenchmarkRouterSolveHit(b *testing.B) {
+	f := fleet.New(fleet.Config{Workers: 2})
+	defer f.Close()
+	rt := f.Router()
+	body := hitBody(b, hitInstance(1))
+	for i := 0; i < 2; i++ { // solve, then confirm the hit
+		if rec := serveSolve(rt, body); rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serveSolve(rt, body); rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
 }
 
 func BenchmarkCanonicalHash(b *testing.B) {

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"replicatree/internal/tree"
 )
@@ -113,8 +114,9 @@ type chunkedHeader struct {
 	Nodes   int    `json:"nodes"`
 }
 
-// chunkedNode is one node record; the shape matches the jsonNode used
-// by the Tree codec so the two formats describe nodes identically.
+// chunkedNode is the encoded form of one node record; ReadChunked
+// decodes records with tree.NodeRecords, the Tree codec's decoder, so
+// the two formats describe nodes identically.
 type chunkedNode struct {
 	ID       tree.NodeID `json:"id"`
 	Parent   tree.NodeID `json:"parent"`
@@ -185,39 +187,54 @@ func WriteChunked(w io.Writer, fi *FlatInstance, chunkNodes int) error {
 	return nil
 }
 
+// headerFields and chunkFields are the field names of the header and
+// chunk values, in ReadChunked's case order.
+var (
+	headerFields = []string{"format", "version", "w", "dmax", "nodes"}
+	chunkFields  = []string{"nodes"}
+)
+
+// maxChunkedPrealloc caps the node capacity ReadChunked reserves up
+// front from the header's declared count; larger trees grow by
+// append, so a forged header cannot force a huge allocation.
+const maxChunkedPrealloc = 1 << 20
+
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
-// flat instance. Decoding is incremental: one chunk of node records
-// is resident at a time, feeding a tree.FlatBuilder.
+// flat instance. Decoding is incremental: one chunk value is resident
+// at a time, its node records decoded in one pass by the same record
+// decoder as the Tree codec (tree.NodeRecords) and fed to a
+// tree.FlatBuilder. Reading stops once the declared node count has
+// arrived; bytes after that chunk are never read.
 func ReadChunked(r io.Reader) (*FlatInstance, error) {
-	dec := json.NewDecoder(r)
-	var h chunkedHeader
-	if err := dec.Decode(&h); err != nil {
+	vr := valueReader{r: r}
+	val, err := vr.next()
+	if err != nil {
 		return nil, fmt.Errorf("core: chunked header: %w", err)
 	}
-	if h.Format != ChunkedFormat {
-		return nil, fmt.Errorf("core: not a chunked instance stream (format %q)", h.Format)
+	var l tree.Lexer
+	fi, nodes, err := decodeChunkedHeader(&l, val)
+	if err != nil {
+		return nil, err
 	}
-	if h.Version != ChunkedVersion {
-		return nil, fmt.Errorf("core: unsupported chunked version %d", h.Version)
-	}
-	if h.Nodes <= 0 {
-		return nil, fmt.Errorf("core: chunked header declares %d nodes", h.Nodes)
-	}
-	fb := tree.NewFlatBuilder(h.Nodes)
-	var ch chunkedChunk
-	for fb.Len() < h.Nodes {
-		ch.Nodes = ch.Nodes[:0] // reuse the chunk buffer across decodes
-		if err := dec.Decode(&ch); err != nil {
+	fb := tree.NewFlatBuilder(int(min(nodes, maxChunkedPrealloc)))
+	var recs tree.NodeRecords
+	for int64(fb.Len()) < nodes {
+		val, err := vr.next()
+		if err != nil {
 			if err == io.EOF {
-				return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), h.Nodes)
+				return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), nodes)
 			}
 			return nil, fmt.Errorf("core: chunked stream: %w", err)
 		}
-		for _, nd := range ch.Nodes {
-			if nd.ID != tree.NodeID(fb.Len()) {
-				return nil, fmt.Errorf("core: chunked stream: node ID %d out of order (want %d)", nd.ID, fb.Len())
+		if err := decodeChunk(&l, val, &recs); err != nil {
+			return nil, fmt.Errorf("core: chunked stream: %w", err)
+		}
+		for i := 0; i < recs.Len(); i++ {
+			id, parent, dist, requests, label := recs.Record(i)
+			if id != tree.NodeID(fb.Len()) {
+				return nil, fmt.Errorf("core: chunked stream: node ID %d out of order (want %d)", id, fb.Len())
 			}
-			if _, err := fb.Add(nd.Parent, nd.Dist, nd.Requests, nd.Label); err != nil {
+			if _, err := fb.Add(parent, dist, requests, label); err != nil {
 				return nil, err
 			}
 		}
@@ -226,12 +243,195 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi := &FlatInstance{Flat: f, W: h.W, DMax: NoDistance}
-	if h.DMax != nil {
-		fi.DMax = *h.DMax
-	}
+	fi.Flat = f
 	if err := fi.Validate(); err != nil {
 		return nil, err
 	}
 	return fi, nil
 }
+
+// decodeChunkedHeader decodes and checks the header value, returning
+// the instance parameters and the declared node count.
+func decodeChunkedHeader(l *tree.Lexer, val []byte) (*FlatInstance, int64, error) {
+	var (
+		format         string
+		version, nodes int64
+		fi             = &FlatInstance{DMax: NoDistance}
+	)
+	l.Reset(val)
+	if !l.Null() {
+		for f := l.Object(headerFields); f != tree.End; f = l.More(headerFields) {
+			switch f {
+			case 0: // format
+				if s, ok := l.ReadString(); ok {
+					format = string(s)
+				}
+			case 1: // version
+				l.ReadInt(&version, strconv.IntSize)
+			case 2: // w
+				l.ReadInt(&fi.W, 64)
+			case 3: // dmax
+				if l.Null() {
+					fi.DMax = NoDistance
+					continue
+				}
+				l.ReadInt(&fi.DMax, 64)
+			case 4: // nodes
+				l.ReadInt(&nodes, strconv.IntSize)
+			default:
+				l.Skip()
+			}
+		}
+	}
+	if err := l.Finish(); err != nil {
+		return nil, 0, fmt.Errorf("core: chunked header: %w", err)
+	}
+	if format != ChunkedFormat {
+		return nil, 0, fmt.Errorf("core: not a chunked instance stream (format %q)", format)
+	}
+	if version != ChunkedVersion {
+		return nil, 0, fmt.Errorf("core: unsupported chunked version %d", version)
+	}
+	if nodes <= 0 {
+		return nil, 0, fmt.Errorf("core: chunked header declares %d nodes", nodes)
+	}
+	return fi, nodes, nil
+}
+
+// decodeChunk decodes one chunk value's node records into recs (none
+// for a null chunk or one without "nodes").
+func decodeChunk(l *tree.Lexer, val []byte, recs *tree.NodeRecords) error {
+	l.Reset(val)
+	recs.Reset()
+	if !l.Null() {
+		for f := l.Object(chunkFields); f != tree.End; f = l.More(chunkFields) {
+			if f == 0 { // nodes
+				recs.Decode(l)
+			} else {
+				l.Skip()
+			}
+		}
+	}
+	return l.Finish()
+}
+
+// valueReader frames the top-level values of a chunked stream. It
+// buffers just enough of the reader to hold the next value, so a
+// stream is never resident as a whole. Framing only finds where a
+// value ends (bracket depth outside strings); the lexer then checks
+// the framed bytes in full.
+type valueReader struct {
+	r          io.Reader
+	buf        []byte
+	start, end int // unconsumed bytes are buf[start:end]
+	rerr       error
+}
+
+// next returns the next value's bytes, valid until the following
+// call, or io.EOF when the stream holds no further value. Only an
+// object or null can be a header or chunk; any other value is
+// returned as its first byte, for the lexer to reject.
+func (vr *valueReader) next() ([]byte, error) {
+	for {
+		for vr.start < vr.end && isSpace(vr.buf[vr.start]) {
+			vr.start++
+		}
+		if vr.start < vr.end {
+			break
+		}
+		if err := vr.fill(); err != nil {
+			return nil, err
+		}
+	}
+	switch vr.buf[vr.start] {
+	case '{':
+	case 'n':
+		for vr.end-vr.start < 4 {
+			if err := vr.fill(); err != nil {
+				return nil, unexpectedEOF(err)
+			}
+		}
+		val := vr.buf[vr.start : vr.start+4]
+		vr.start += 4
+		return val, nil
+	default:
+		val := vr.buf[vr.start : vr.start+1]
+		vr.start++
+		return val, nil
+	}
+	depth, inString, escaped := 0, false, false
+	for i := vr.start; ; i++ {
+		if i == vr.end {
+			off := i - vr.start
+			if err := vr.fill(); err != nil {
+				return nil, unexpectedEOF(err)
+			}
+			i = vr.start + off
+		}
+		c := vr.buf[i]
+		switch {
+		case inString:
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			depth--
+			if depth == 0 {
+				val := vr.buf[vr.start : i+1]
+				vr.start = i + 1
+				return val, nil
+			}
+		}
+	}
+}
+
+// fill reads more of the stream into the buffer, compacting and
+// growing it as needed. It returns io.EOF once the reader is drained.
+func (vr *valueReader) fill() error {
+	if vr.rerr != nil {
+		return vr.rerr
+	}
+	if vr.start > 0 {
+		vr.end = copy(vr.buf, vr.buf[vr.start:vr.end])
+		vr.start = 0
+	}
+	if vr.end == len(vr.buf) {
+		nb := make([]byte, max(2*len(vr.buf), 64<<10))
+		copy(nb, vr.buf[:vr.end])
+		vr.buf = nb
+	}
+	for range 100 {
+		n, err := vr.r.Read(vr.buf[vr.end:])
+		vr.end += n
+		if err != nil {
+			vr.rerr = err
+		}
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// unexpectedEOF maps a clean end of stream inside a value to
+// io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -54,11 +54,19 @@ func (in *Instance) NoD() bool { return in.DMax == NoDistance }
 // Validate checks instance-level invariants: a valid tree, a positive
 // capacity and a non-negative distance bound.
 func (in *Instance) Validate() error {
+	if in.Tree != nil {
+		if err := in.Tree.Validate(); err != nil {
+			return err
+		}
+	}
+	return in.validateParams()
+}
+
+// validateParams checks everything Validate does except the tree's
+// own structure.
+func (in *Instance) validateParams() error {
 	if in.Tree == nil {
 		return errors.New("core: instance has nil tree")
-	}
-	if err := in.Tree.Validate(); err != nil {
-		return err
 	}
 	if in.W <= 0 {
 		return fmt.Errorf("core: non-positive capacity W=%d", in.W)

@@ -25,17 +25,50 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON decodes and validates an instance.
+// instanceFields are the instance object's field names, in
+// UnmarshalJSON's case order.
+var instanceFields = []string{"tree", "w", "dmax"}
+
+// UnmarshalJSON decodes and validates an instance in one pass over
+// data: the {"tree", "w", "dmax"} object is scanned once and the tree
+// value is handed to the tree decoder on the same lexer, which builds
+// and validates the node arena as it goes (see tree.Lexer for the
+// accepted grammar, exactly encoding/json's for these types).
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var j instanceJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	var l tree.Lexer
+	l.Reset(data)
+	ni := Instance{DMax: NoDistance}
+	if !l.Null() {
+		for f := l.Object(instanceFields); f != tree.End; f = l.More(instanceFields) {
+			switch f {
+			case 0: // tree
+				if l.Null() {
+					ni.Tree = nil
+					continue
+				}
+				t, err := tree.DecodeTree(&l)
+				if err != nil {
+					return err
+				}
+				ni.Tree = t
+			case 1: // w
+				l.ReadInt(&ni.W, 64)
+			case 2: // dmax
+				if l.Null() {
+					ni.DMax = NoDistance
+					continue
+				}
+				l.ReadInt(&ni.DMax, 64)
+			default:
+				l.Skip()
+			}
+		}
+	}
+	if err := l.Finish(); err != nil {
 		return err
 	}
-	ni := Instance{Tree: j.Tree, W: j.W, DMax: NoDistance}
-	if j.DMax != nil {
-		ni.DMax = *j.DMax
-	}
-	if err := ni.Validate(); err != nil {
+	// The tree decoder has validated the tree; check the rest.
+	if err := ni.validateParams(); err != nil {
 		return fmt.Errorf("core: invalid instance: %w", err)
 	}
 	*in = ni

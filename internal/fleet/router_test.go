@@ -309,3 +309,30 @@ func TestRouterSolvers(t *testing.T) {
 		t.Errorf("%d capability docs for %d registered engines", len(docs), len(solver.Catalog()))
 	}
 }
+
+// TestRouterRejectsTrailingData: a body with bytes after its JSON
+// value has no routing key, and the worker that renders it must agree
+// it is malformed — a 400, never a 200 from a non-owner's cold cache.
+func TestRouterRejectsTrailingData(t *testing.T) {
+	_, ts := newTestFleet(t, Config{Workers: 2})
+	in := corpusInstance(t, "binary_nod_1.json")
+	body, err := json.Marshal(service.SolveRequestV2{Solver: "single-gen", Instance: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solveKey(append(body, "xyz"...)) != "" {
+		t.Fatal("a body with trailing data yielded a routing key")
+	}
+	resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader(string(body)+"xyz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var p service.Problem
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil || p.Type != service.ProblemBadRequest {
+		t.Fatalf("problem %+v (decode err %v), want type %q", p, err, service.ProblemBadRequest)
+	}
+}

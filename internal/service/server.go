@@ -27,7 +27,8 @@
 // of the same tree is served from an LRU in memory instead of
 // re-solved. The cache stores full solve reports and is shared by both
 // API versions. Every solution — cached or fresh — has passed
-// core.Verify before it leaves the process.
+// feasibility verification (core.Scratch.Verify, the allocation-free
+// twin of core.Verify) before it leaves the process.
 package service
 
 import (
@@ -35,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -43,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"replicatree/internal/core"
 	// Link the decomposition engine into every service binary: it
 	// registers itself on init (it imports solver, so the registry
 	// cannot reference it statically).
@@ -178,15 +179,45 @@ func solveErrorStatus(r *http.Request, err error) int {
 	}
 }
 
-// decodeBody decodes a JSON request body into v under the size cap,
-// returning the HTTP status to use on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+// ReadBody reads a request body whole under the size cap, returning
+// the HTTP status to use on failure (413 past the cap, 400 otherwise).
+// The buffer is sized from Content-Length when the client sent one.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	size := 512
+	if cl := r.ContentLength; cl > 0 && cl < maxBodyBytes {
+		size = int(cl) + 1 // room to read EOF without growing
+	}
+	buf := make([]byte, 0, size)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, http.StatusOK, nil
+		}
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+			}
+			return nil, http.StatusBadRequest, fmt.Errorf("invalid request: %w", err)
+		}
+	}
+}
+
+// decodeBody decodes a JSON request body into v under the size cap,
+// returning the HTTP status to use on failure. The body must be
+// exactly one JSON value — the rule the fleet router applies when it
+// extracts the routing key, so both agree on what a body is.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	body, status, err := ReadBody(w, r)
+	if err != nil {
+		return status, err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("invalid request: %w", err)
 	}
 	return http.StatusOK, nil
@@ -252,21 +283,22 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 	// before the scratch returns to the pool (engines without a warm
 	// path ignore the scratch; the extra copy of their small solution
 	// is noise next to the solve).
+	//
+	// Verification runs on the same scratch before it goes back: the
+	// flat twin the engine ingested (or, for engines that ingested
+	// nothing, one flattened now) and the scratch's verify tables.
 	sc := solver.GetScratch()
+	defer solver.PutScratch(sc)
 	req.Scratch = sc
 	rep, err := eng.Solve(ctx, req)
 	if err != nil {
-		solver.PutScratch(sc)
 		return out, err
 	}
-	if rep.Solution != nil {
-		rep.Solution = rep.Solution.Clone()
-	}
-	solver.PutScratch(sc)
 	s.metrics.Solve(name, time.Since(begin))
-	if err := core.Verify(req.Instance, rep.Policy, rep.Solution); err != nil {
+	if err := sc.Verify(req.Instance, rep.Policy, rep.Solution); err != nil {
 		return out, fmt.Errorf("%w: solver %s: %v", errVerification, name, err)
 	}
+	rep.Solution = rep.Solution.Clone()
 	s.cache.Put(name, key, rep)
 	out.report = rep
 	return out, nil
@@ -413,11 +445,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, status int, v any) {
 	s.metrics.Request(endpoint, status)
-	w.Header().Set("Content-Type", "application/json")
+	WriteJSON(w, status, v)
+}
+
+// WriteJSON sends v as a compact JSON body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, "application/json", status, v)
+}
+
+func writeBody(w http.ResponseWriter, contentType string, status int, v any) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to salvage
+	_ = json.NewEncoder(w).Encode(v) // the status line is already out; nothing to salvage
 }
 
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, status int, err error) {

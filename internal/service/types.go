@@ -33,7 +33,7 @@ type SolveResponse struct {
 	LowerBound int     `json:"lower_bound"`
 	Gap        float64 `json:"gap"`
 	// Verified is always true in a 200 response: solutions are checked
-	// with core.Verify before they are returned or cached.
+	// for feasibility before they are returned or cached.
 	Verified bool `json:"verified"`
 	// Cached reports whether the solution came from the result cache.
 	Cached    bool           `json:"cached"`

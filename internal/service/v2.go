@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -72,7 +71,7 @@ type SolveResponseV2 struct {
 	Work   int64 `json:"work,omitempty"`
 	Proved bool  `json:"proved"`
 	// Verified is always true in a 200 response: solutions are checked
-	// with core.Verify before they are returned or cached.
+	// for feasibility before they are returned or cached.
 	Verified bool `json:"verified"`
 	// Cached reports whether the solution came from the result cache.
 	Cached    bool    `json:"cached"`
@@ -258,11 +257,13 @@ func solveProblem(r *http.Request, err error) Problem {
 // writeProblem emits a Problem with the RFC 7807 media type.
 func (s *Server) writeProblem(w http.ResponseWriter, endpoint string, p Problem) {
 	s.metrics.Request(endpoint, p.Status)
-	w.Header().Set("Content-Type", "application/problem+json")
-	w.WriteHeader(p.Status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(p) // the status line is already out; nothing to salvage
+	WriteProblem(w, p)
+}
+
+// WriteProblem sends p as a compact application/problem+json body
+// with p.Status.
+func WriteProblem(w http.ResponseWriter, p Problem) {
+	writeBody(w, "application/problem+json", p.Status, p)
 }
 
 // parseWant maps the wire policy constraint onto solver.Want.

@@ -95,6 +95,21 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 	return nil
 }
 
+// Verify checks sol against in exactly like core.Verify, but on the
+// scratch's flat twin and verification tables, so checking a feasible
+// solution allocates nothing once the scratch has grown. A scratch
+// already bound to in verifies on the flat twin it ingested; any
+// other instance is flattened into the scratch first (unbinding the
+// sessions, which the next solve re-ingests). in must be validated,
+// as every decoded instance is.
+func (sc *Scratch) Verify(in *core.Instance, pol core.Policy, sol *core.Solution) error {
+	if sc.in != in || sc.tr != in.Tree || sc.w != in.W || sc.dmax != in.DMax {
+		sc.in = nil
+		tree.FlattenInto(&sc.flat, in.Tree)
+	}
+	return sc.bound.Verify(&sc.flat, in, pol, sol)
+}
+
 // lpSession returns the lazily-ingested LP session, or ok=false when
 // the relaxation could not be built (the caller then falls back to the
 // cold path, which reproduces the build error verbatim).

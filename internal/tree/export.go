@@ -3,7 +3,6 @@ package tree
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,41 +42,16 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jt)
 }
 
-// UnmarshalJSON decodes a tree from the flat node-list format and
-// validates it.
+// UnmarshalJSON decodes a tree from the flat node-list format in one
+// pass (see Lexer for the accepted grammar) and validates it.
 func (t *Tree) UnmarshalJSON(data []byte) error {
-	var jt jsonTree
-	if err := json.Unmarshal(data, &jt); err != nil {
+	var l Lexer
+	l.Reset(data)
+	var nt Tree
+	if err := nt.decode(&l); err != nil {
 		return err
 	}
-	nodes := make([]Node, len(jt.Nodes))
-	for _, jn := range jt.Nodes {
-		if jn.ID < 0 || int(jn.ID) >= len(nodes) {
-			return fmt.Errorf("tree: json node id %d out of range [0,%d)", jn.ID, len(nodes))
-		}
-		nodes[jn.ID] = Node{
-			Parent:   jn.Parent,
-			Dist:     jn.Dist,
-			Requests: jn.Requests,
-			Label:    jn.Label,
-		}
-	}
-	// Rebuild children lists in node-ID order for determinism.
-	for _, jn := range jt.Nodes {
-		if jn.Parent != None {
-			if jn.Parent < 0 || int(jn.Parent) >= len(nodes) {
-				return fmt.Errorf("tree: json node %d has out-of-range parent %d", jn.ID, jn.Parent)
-			}
-			nodes[jn.Parent].Children = append(nodes[jn.Parent].Children, jn.ID)
-		}
-	}
-	for j := range nodes {
-		sort.Slice(nodes[j].Children, func(a, b int) bool {
-			return nodes[j].Children[a] < nodes[j].Children[b]
-		})
-	}
-	nt := Tree{nodes: nodes, root: jt.Root}
-	if err := nt.Validate(); err != nil {
+	if err := l.Finish(); err != nil {
 		return err
 	}
 	*t = nt

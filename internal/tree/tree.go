@@ -108,6 +108,31 @@ func (t *Tree) Clone() *Tree {
 // non-negative edge lengths, clients exactly at the leaves, and
 // non-negative request counts that are zero on internal nodes.
 func (t *Tree) Validate() error {
+	var sc walkScratch
+	return t.validate(&sc)
+}
+
+// walkScratch is the reusable working memory of validate.
+type walkScratch struct {
+	seen  []bool
+	stack []NodeID
+}
+
+// bools returns a cleared []bool of length n backed by the scratch.
+func (w *walkScratch) bools(n int) []bool {
+	if cap(w.seen) < n {
+		w.seen = make([]bool, n)
+	}
+	w.seen = w.seen[:n]
+	clear(w.seen)
+	return w.seen
+}
+
+// validate is Validate on caller-owned scratch. The walk is an
+// explicit-stack preorder, so arbitrarily deep trees cannot exhaust
+// the goroutine stack; it reports the same first error a recursive
+// preorder walk would.
+func (t *Tree) validate(sc *walkScratch) error {
 	if len(t.nodes) == 0 {
 		return errors.New("tree: empty tree")
 	}
@@ -120,17 +145,23 @@ func (t *Tree) Validate() error {
 	if len(t.nodes[t.root].Children) == 0 {
 		return errors.New("tree: root must be an internal node (paper: r ∈ N)")
 	}
-	seen := make([]bool, len(t.nodes))
-	var walk func(j NodeID, depth int) error
-	walk = func(j NodeID, depth int) error {
-		if !t.Valid(j) {
-			return fmt.Errorf("tree: node id %d out of range", j)
+	seen := sc.bools(len(t.nodes))
+	// The stack holds (node, parent) pairs still to visit.
+	stack := append(sc.stack[:0], t.root, None)
+	defer func() { sc.stack = stack[:0] }()
+	for len(stack) > 0 {
+		j, p := stack[len(stack)-2], stack[len(stack)-1]
+		stack = stack[:len(stack)-2]
+		if p != None {
+			if !t.Valid(j) {
+				return fmt.Errorf("tree: node %d has out-of-range child %d", p, j)
+			}
+			if t.nodes[j].Parent != p {
+				return fmt.Errorf("tree: child %d of %d has parent %d", j, p, t.nodes[j].Parent)
+			}
 		}
 		if seen[j] {
 			return fmt.Errorf("tree: node %d reached twice (cycle or shared child)", j)
-		}
-		if depth > len(t.nodes) {
-			return errors.New("tree: depth exceeds node count (cycle)")
 		}
 		seen[j] = true
 		n := &t.nodes[j]
@@ -148,26 +179,14 @@ func (t *Tree) Validate() error {
 		if len(n.Children) == 0 {
 			// Leaf: must be a client. (A request count of zero is
 			// allowed; such clients are trivially satisfied.)
-			return nil
+			continue
 		}
 		if n.Requests != 0 {
 			return fmt.Errorf("tree: internal node %d has requests %d", j, n.Requests)
 		}
-		for _, c := range n.Children {
-			if !t.Valid(c) {
-				return fmt.Errorf("tree: node %d has out-of-range child %d", j, c)
-			}
-			if t.nodes[c].Parent != j {
-				return fmt.Errorf("tree: child %d of %d has parent %d", c, j, t.nodes[c].Parent)
-			}
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
+		for k := len(n.Children) - 1; k >= 0; k-- {
+			stack = append(stack, n.Children[k], j)
 		}
-		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
-		return err
 	}
 	for j := range seen {
 		if !seen[j] {
