@@ -284,9 +284,9 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 	// path ignore the scratch; the extra copy of their small solution
 	// is noise next to the solve).
 	//
-	// Verification runs on the same scratch before it goes back: the
-	// flat twin the engine ingested (or, for engines that ingested
-	// nothing, one flattened now) and the scratch's verify tables.
+	// Verification runs on the same scratch before it goes back: its
+	// verify tables, on the flat twin the engine ingested (or, for
+	// engines that ingested nothing, one flattened for the check).
 	sc := solver.GetScratch()
 	defer solver.PutScratch(sc)
 	req.Scratch = sc

@@ -95,17 +95,16 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 	return nil
 }
 
-// Verify checks sol against in exactly like core.Verify, but on the
-// scratch's flat twin and verification tables, so checking a feasible
-// solution allocates nothing once the scratch has grown. A scratch
-// already bound to in verifies on the flat twin it ingested; any
-// other instance is flattened into the scratch first (unbinding the
-// sessions, which the next solve re-ingests). in must be validated,
+// Verify checks sol against in exactly like core.Verify, but with the
+// scratch's verification tables, so checking a feasible solution of
+// an ingested instance allocates nothing once the scratch has grown.
+// For an instance the scratch is not bound to (its engine ingested
+// nothing, e.g. auto) it verifies on a one-off flat twin, leaving the
+// scratch's own twin and sessions as they were. in must be validated,
 // as every decoded instance is.
 func (sc *Scratch) Verify(in *core.Instance, pol core.Policy, sol *core.Solution) error {
 	if sc.in != in || sc.tr != in.Tree || sc.w != in.W || sc.dmax != in.DMax {
-		sc.in = nil
-		tree.FlattenInto(&sc.flat, in.Tree)
+		return sc.bound.Verify(tree.Flatten(in.Tree), in, pol, sol)
 	}
 	return sc.bound.Verify(&sc.flat, in, pol, sol)
 }
