@@ -1,7 +1,7 @@
 // Package service exposes the solver registry as an HTTP/JSON daemon:
 // placement-as-a-service. The v2 surface mirrors the solver package's
 // typed Request/Report contract; v1 is a frozen adapter over the same
-// engine path and stays byte-identical. Endpoints:
+// engine path. All bodies are compact JSON. Endpoints:
 //
 //	POST /v2/solve    — solve one instance (policy/budget/timeout/hints)
 //	POST /v2/batch    — enqueue an async job over many typed tasks
