@@ -200,15 +200,16 @@ var (
 const maxChunkedPrealloc = 1 << 20
 
 // ReadChunked ingests a chunked stream from r and returns the rebuilt
-// flat instance. Decoding is incremental: one chunk value is resident
-// at a time, its node records decoded in one pass by the same record
-// decoder as the Tree codec (tree.NodeRecords) and fed to a
-// tree.FlatBuilder. Reading stops once the declared node count has
-// arrived; bytes after that chunk are never read.
+// flat instance. Decoding is incremental: a json.Decoder frames one
+// value at a time into a reused raw buffer, so one chunk is resident,
+// and its node records are decoded by the same record decoder as the
+// Tree codec (tree.NodeRecords) and fed to a tree.FlatBuilder.
+// Decoding stops once the declared node count has arrived; values
+// after that chunk are never decoded.
 func ReadChunked(r io.Reader) (*FlatInstance, error) {
-	vr := valueReader{r: r}
-	val, err := vr.next()
-	if err != nil {
+	dec := json.NewDecoder(r)
+	var val json.RawMessage
+	if err := dec.Decode(&val); err != nil {
 		return nil, fmt.Errorf("core: chunked header: %w", err)
 	}
 	var l tree.Lexer
@@ -219,8 +220,7 @@ func ReadChunked(r io.Reader) (*FlatInstance, error) {
 	fb := tree.NewFlatBuilder(int(min(nodes, maxChunkedPrealloc)))
 	var recs tree.NodeRecords
 	for int64(fb.Len()) < nodes {
-		val, err := vr.next()
-		if err != nil {
+		if err := dec.Decode(&val); err != nil {
 			if err == io.EOF {
 				return nil, fmt.Errorf("core: chunked stream truncated: got %d of %d nodes", fb.Len(), nodes)
 			}
@@ -314,124 +314,3 @@ func decodeChunk(l *tree.Lexer, val []byte, recs *tree.NodeRecords) error {
 	}
 	return l.Finish()
 }
-
-// valueReader frames the top-level values of a chunked stream. It
-// buffers just enough of the reader to hold the next value, so a
-// stream is never resident as a whole. Framing only finds where a
-// value ends (bracket depth outside strings); the lexer then checks
-// the framed bytes in full.
-type valueReader struct {
-	r          io.Reader
-	buf        []byte
-	start, end int // unconsumed bytes are buf[start:end]
-	rerr       error
-}
-
-// next returns the next value's bytes, valid until the following
-// call, or io.EOF when the stream holds no further value. Only an
-// object or null can be a header or chunk; any other value is
-// returned as its first byte, for the lexer to reject.
-func (vr *valueReader) next() ([]byte, error) {
-	for {
-		for vr.start < vr.end && isSpace(vr.buf[vr.start]) {
-			vr.start++
-		}
-		if vr.start < vr.end {
-			break
-		}
-		if err := vr.fill(); err != nil {
-			return nil, err
-		}
-	}
-	switch vr.buf[vr.start] {
-	case '{':
-	case 'n':
-		for vr.end-vr.start < 4 {
-			if err := vr.fill(); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-		}
-		val := vr.buf[vr.start : vr.start+4]
-		vr.start += 4
-		return val, nil
-	default:
-		val := vr.buf[vr.start : vr.start+1]
-		vr.start++
-		return val, nil
-	}
-	depth, inString, escaped := 0, false, false
-	for i := vr.start; ; i++ {
-		if i == vr.end {
-			off := i - vr.start
-			if err := vr.fill(); err != nil {
-				return nil, unexpectedEOF(err)
-			}
-			i = vr.start + off
-		}
-		c := vr.buf[i]
-		switch {
-		case inString:
-			switch {
-			case escaped:
-				escaped = false
-			case c == '\\':
-				escaped = true
-			case c == '"':
-				inString = false
-			}
-		case c == '"':
-			inString = true
-		case c == '{' || c == '[':
-			depth++
-		case c == '}' || c == ']':
-			depth--
-			if depth == 0 {
-				val := vr.buf[vr.start : i+1]
-				vr.start = i + 1
-				return val, nil
-			}
-		}
-	}
-}
-
-// fill reads more of the stream into the buffer, compacting and
-// growing it as needed. It returns io.EOF once the reader is drained.
-func (vr *valueReader) fill() error {
-	if vr.rerr != nil {
-		return vr.rerr
-	}
-	if vr.start > 0 {
-		vr.end = copy(vr.buf, vr.buf[vr.start:vr.end])
-		vr.start = 0
-	}
-	if vr.end == len(vr.buf) {
-		nb := make([]byte, max(2*len(vr.buf), 64<<10))
-		copy(nb, vr.buf[:vr.end])
-		vr.buf = nb
-	}
-	for range 100 {
-		n, err := vr.r.Read(vr.buf[vr.end:])
-		vr.end += n
-		if err != nil {
-			vr.rerr = err
-		}
-		if n > 0 {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return io.ErrNoProgress
-}
-
-// unexpectedEOF maps a clean end of stream inside a value to
-// io.ErrUnexpectedEOF.
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

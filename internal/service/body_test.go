@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +51,26 @@ func TestSolveRejectsTrailingData(t *testing.T) {
 				t.Errorf("suffix %q: problem type %q", tc.suffix, p.Type)
 			}
 		}
+	}
+}
+
+// TestReadBodyForgedContentLength: a request that declares a body
+// near the size cap but sends a few bytes gets its 400 without the
+// server reserving the declared size.
+func TestReadBodyForgedContentLength(t *testing.T) {
+	srv, _ := newTestServer(t, Options{CacheSize: 8})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req := httptest.NewRequest(http.MethodPost, "/v2/solve", strings.NewReader(`{"solver":`))
+	req.ContentLength = maxBodyBytes - 1
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("a %d-byte body with a forged Content-Length allocated %d bytes", len(`{"solver":`), grew)
 	}
 }
 

@@ -179,14 +179,20 @@ func solveErrorStatus(r *http.Request, err error) int {
 	}
 }
 
+// maxBodyPrealloc caps the buffer ReadBody reserves from the
+// Content-Length header. Past it the buffer grows only as bytes
+// arrive, so a client that declares a large body and sends little
+// cannot pin memory it never fills.
+const maxBodyPrealloc = 64 << 10
+
 // ReadBody reads a request body whole under the size cap, returning
 // the HTTP status to use on failure (413 past the cap, 400 otherwise).
-// The buffer is sized from Content-Length when the client sent one.
+// The buffer is sized from Content-Length, up to maxBodyPrealloc.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	size := 512
-	if cl := r.ContentLength; cl > 0 && cl < maxBodyBytes {
-		size = int(cl) + 1 // room to read EOF without growing
+	if cl := r.ContentLength; cl > 0 {
+		size = int(min(cl+1, maxBodyPrealloc)) // +1: room to read EOF without growing
 	}
 	buf := make([]byte, 0, size)
 	for {

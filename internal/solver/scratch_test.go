@@ -40,3 +40,33 @@ func TestScratchVerifyMatchesCore(t *testing.T) {
 		t.Error("verifying unbound the scratch's sessions")
 	}
 }
+
+// BenchmarkVerifyUnbound compares the miss path's check of an auto
+// answer (a scratch no engine bound, which verifies on a one-off flat
+// twin) with core.Verify, on a ~300-node tree shaped like the
+// benchmark's miss-solve instances.
+func BenchmarkVerifyUnbound(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	cfg := gen.TreeConfig{Internals: 160, MaxArity: 3, MaxDist: 4, MaxReq: 10, ExtraClients: 65}
+	in := &core.Instance{Tree: gen.RandomTree(rng, cfg), W: 60, DMax: 14}
+	rep, err := MustLookup(Auto).Solve(context.Background(), Request{Instance: in})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	verifiers := map[string]func() error{
+		"core":    func() error { return core.Verify(in, rep.Policy, rep.Solution) },
+		"scratch": func() error { return sc.Verify(in, rep.Policy, rep.Solution) },
+	}
+	for _, name := range []string{"core", "scratch"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := verifiers[name](); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
