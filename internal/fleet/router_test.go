@@ -100,17 +100,21 @@ func TestRouterProblemPassthrough(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		req    service.SolveRequestV2
+		path   string
+		req    any
 		status int
 		typ    string
 	}{
-		{"unknown solver", service.SolveRequestV2{Solver: "nope", Instance: in},
+		{"unknown solver", "/v2/solve", service.SolveRequestV2{Solver: "nope", Instance: in},
 			http.StatusNotFound, service.ProblemUnknownSolver},
-		{"missing instance", service.SolveRequestV2{Solver: "single-gen"},
+		{"missing instance", "/v2/solve", service.SolveRequestV2{Solver: "single-gen"},
+			http.StatusBadRequest, service.ProblemBadRequest},
+		{"negative batch timeout", "/v2/batch", service.BatchRequestV2{TimeoutMS: -1,
+			Tasks: []service.BatchTaskV2{{Solver: "single-gen", Instance: in}}},
 			http.StatusBadRequest, service.ProblemBadRequest},
 	}
 	for _, c := range cases {
-		resp, body := postBody(t, ts.URL+"/v2/solve", c.req)
+		resp, body := postBody(t, ts.URL+c.path, c.req)
 		if resp.StatusCode != c.status {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.status, body)
 			continue

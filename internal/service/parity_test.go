@@ -30,13 +30,11 @@ func goldenManifest(t testing.TB) map[string]map[string]int {
 	return manifest
 }
 
-// TestV1V2SolveParityGoldenCorpus is the API-freeze pin: for every
-// (instance, solver) pair of the golden corpus, /v1/solve and
-// /v2/solve return identical solutions, hashes, bounds and replica
-// counts, and share one cache (the v1-warmed entry serves the v2
-// request). /v1 is the adapter; this test is what "byte-identical"
-// rides on.
-func TestV1V2SolveParityGoldenCorpus(t *testing.T) {
+// TestV2SolveGoldenCorpus pins /v2/solve to the golden corpus: for
+// every (instance, solver) pair of the manifest the first request
+// solves with the golden replica count and the canonical hash, and the
+// identical second request is a cache hit with the same answer.
+func TestV2SolveGoldenCorpus(t *testing.T) {
 	manifest := goldenManifest(t)
 	srv, ts := newTestServer(t, Options{CacheSize: 4096})
 	pairs := 0
@@ -46,54 +44,40 @@ func TestV1V2SolveParityGoldenCorpus(t *testing.T) {
 			if name == "lower-bound" {
 				continue
 			}
-			// v1 first (cold), then v2 (must hit the shared cache).
-			resp1, body1 := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Solver: name, Instance: in})
-			if resp1.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: v1 status %d: %s", file, name, resp1.StatusCode, body1)
-			}
-			var v1 SolveResponse
-			if err := json.Unmarshal(body1, &v1); err != nil {
-				t.Fatal(err)
-			}
-			resp2, body2 := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: name, Instance: in})
-			if resp2.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: v2 status %d: %s", file, name, resp2.StatusCode, body2)
-			}
-			var v2 SolveResponseV2
-			if err := json.Unmarshal(body2, &v2); err != nil {
-				t.Fatal(err)
+			var cold, warm SolveResponseV2
+			for i, into := range []*SolveResponseV2{&cold, &warm} {
+				resp, body := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Solver: name, Instance: in})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s/%s: request %d: status %d: %s", file, name, i, resp.StatusCode, body)
+				}
+				if err := json.Unmarshal(body, into); err != nil {
+					t.Fatal(err)
+				}
 			}
 			pairs++
-			if v1.Replicas != wantReplicas || v2.Replicas != wantReplicas {
-				t.Errorf("%s/%s: replicas v1=%d v2=%d, golden %d", file, name, v1.Replicas, v2.Replicas, wantReplicas)
+			if cold.Replicas != wantReplicas {
+				t.Errorf("%s/%s: replicas %d, golden %d", file, name, cold.Replicas, wantReplicas)
 			}
-			if v1.Hash != v2.Hash || v1.Hash != in.CanonicalHash() {
-				t.Errorf("%s/%s: hash mismatch: v1=%s v2=%s", file, name, v1.Hash, v2.Hash)
+			if cold.Hash != in.CanonicalHash() || warm.Hash != cold.Hash {
+				t.Errorf("%s/%s: hash mismatch: %s / %s, canonical %s", file, name, cold.Hash, warm.Hash, in.CanonicalHash())
 			}
-			if v1.Policy != v2.Policy || v1.LowerBound != v2.LowerBound || v1.Gap != v2.Gap {
-				t.Errorf("%s/%s: metadata diverged: v1={%s %d %v} v2={%s %d %v}",
-					file, name, v1.Policy, v1.LowerBound, v1.Gap, v2.Policy, v2.LowerBound, v2.Gap)
+			if cold.Cached || !warm.Cached {
+				t.Errorf("%s/%s: cached flags %v/%v, want false/true", file, name, cold.Cached, warm.Cached)
 			}
-			if !reflect.DeepEqual(v1.Solution, v2.Solution) {
-				t.Errorf("%s/%s: solutions diverged between versions", file, name)
+			if warm.Policy != cold.Policy || warm.LowerBound != cold.LowerBound || warm.Gap != cold.Gap ||
+				!reflect.DeepEqual(warm.Solution, cold.Solution) {
+				t.Errorf("%s/%s: cache hit diverged from the solve", file, name)
 			}
-			if v1.Cached {
-				t.Errorf("%s/%s: first (v1) request reported cached", file, name)
-			}
-			if !v2.Cached {
-				t.Errorf("%s/%s: v2 request missed the cache the v1 solve filled", file, name)
-			}
-			if !v1.Verified || !v2.Verified {
-				t.Errorf("%s/%s: verification flags v1=%v v2=%v", file, name, v1.Verified, v2.Verified)
+			if !cold.Verified || !warm.Verified {
+				t.Errorf("%s/%s: verification flags %v/%v", file, name, cold.Verified, warm.Verified)
 			}
 		}
 	}
 	if pairs < 50 {
-		t.Fatalf("parity covered only %d (instance, solver) pairs", pairs)
+		t.Fatalf("corpus covered only %d (instance, solver) pairs", pairs)
 	}
-	st := srv.CacheStats()
-	if st.Hits < uint64(pairs) {
-		t.Errorf("cache hits %d below pair count %d: versions are not sharing the cache", st.Hits, pairs)
+	if st := srv.CacheStats(); st.Hits < uint64(pairs) {
+		t.Errorf("cache hits %d below pair count %d", st.Hits, pairs)
 	}
 }
 
@@ -178,7 +162,7 @@ func TestV2ProblemStatuses(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON → 400 problem, not a v1-style {"error": …} body.
+	// Malformed JSON → 400 problem.
 	resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +246,7 @@ func TestV2AutoSolve(t *testing.T) {
 
 // TestV2BatchLifecycle: typed batch tasks (policy constraints, auto,
 // a failing NoD-gated task) through submit → poll, with the full
-// report block per task; the same job is also pollable through the
-// frozen v1 rendering.
+// report block per task.
 func TestV2BatchLifecycle(t *testing.T) {
 	in1 := goldenInstance(t, "binary_nod_1.json")
 	in2 := goldenInstance(t, "binary_dist_2.json")
@@ -319,16 +302,6 @@ func TestV2BatchLifecycle(t *testing.T) {
 	}
 	if r := byID["bad"]; r.OK || r.Error == "" {
 		t.Errorf("NoD-gated task did not fail: %+v", r)
-	}
-
-	// The same job renders through the v1 endpoint too (shared
-	// manager), minus the v2 metadata.
-	var v1 JobResponse
-	if resp := getJSON(t, ts.URL+"/v1/jobs/"+acc.JobID, &v1); resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 poll status %d", resp.StatusCode)
-	}
-	if v1.Status != JobDone || len(v1.Results) != 4 {
-		t.Errorf("v1 rendering of a v2 job: %+v", v1)
 	}
 
 	// Unknown job IDs are typed 404 problems on v2.

@@ -229,8 +229,7 @@ func problem(typ, title string, status int, err error) Problem {
 }
 
 // solveProblem classifies a failed solve onto a Problem via the
-// solver sentinels — the typed replacement for v1's status-only
-// classification. Verification failures outrank everything (they are
+// solver sentinels. Verification failures outrank everything (they are
 // 5xx even when the client has since disconnected); a dead client
 // outranks the rest so aborted solves don't read as bad instances.
 func solveProblem(r *http.Request, err error) Problem {
@@ -413,6 +412,11 @@ func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 	if req.Workers < 0 {
 		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body",
 			http.StatusBadRequest, fmt.Errorf("negative workers %d", req.Workers)))
+		return
+	}
+	if req.TimeoutMS < 0 {
+		s.writeProblem(w, endpoint, problem(ProblemBadRequest, "invalid request body",
+			http.StatusBadRequest, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)))
 		return
 	}
 	// Workers is client-controlled; clamp it so one job can never

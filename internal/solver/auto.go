@@ -25,9 +25,10 @@ import (
 // its answer reproducible.
 
 const (
-	// autoExactMaxNodes gates exponential candidates: beyond this many
-	// tree nodes they are excluded unless the request hints
-	// "exact": "force" ("skip" excludes them at any size).
+	// autoExactMaxNodes is the MaxNodes the built-in exponential
+	// engines declare: beyond this many tree nodes auto excludes them
+	// unless the request hints "exact": "force" ("skip" excludes them
+	// at any size).
 	autoExactMaxNodes = 192
 	// autoExactBudget caps each exponential candidate's search steps
 	// when the request sets no budget of its own; exhaustion just
@@ -75,10 +76,6 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 			Auto), ErrPolicyUnsupported)
 	}
 	in := req.Instance
-	budget := req.Budget
-	if budget <= 0 {
-		budget = BudgetFrom(ctx)
-	}
 
 	// Oversized instances route to the subtree decomposition engine
 	// when it is linked into the binary: racing whole-tree engines on
@@ -90,7 +87,7 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if eng, err := Lookup(Decomp); err == nil && req.Policy.Allows(core.Multiple) {
 			creq := Request{
 				Instance: in,
-				Budget:   budget,
+				Budget:   req.Budget,
 				Deadline: req.Deadline,
 				Hints:    map[string]string{"no-lower-bound": "1"},
 			}
@@ -142,23 +139,15 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		if !c.SupportsDMax && !in.NoD() {
 			continue
 		}
-		if c.Cost == CostExponential {
-			if req.Hint("exact") == "skip" {
-				continue
-			}
-			// Engines registered through the deprecated v1 shim declare
-			// no MaxNodes; exponential ones still get the classic gate.
-			limit := c.MaxNodes
-			if limit == 0 {
-				limit = autoExactMaxNodes
-			}
-			if req.Hint("exact") != "force" && in.Tree.Len() > limit {
-				continue
-			}
-		} else if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes {
-			// Polynomial engines with a declared ceiling (lp-round's
-			// simplex tableau is quadratic in the tree) drop out of the
-			// portfolio above it.
+		exp := c.Cost == CostExponential
+		if exp && req.Hint("exact") == "skip" {
+			continue
+		}
+		if c.MaxNodes > 0 && in.Tree.Len() > c.MaxNodes && !(exp && req.Hint("exact") == "force") {
+			// Engines with a declared ceiling (the exact searches,
+			// lp-round's quadratic simplex tableau) drop out of the
+			// portfolio above it; "exact": "force" lifts it for the
+			// exponential ones.
 			continue
 		}
 		capable++
@@ -171,13 +160,13 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		// candidates' solutions into one arena).
 		creq := Request{
 			Instance: in,
-			Budget:   budget,
+			Budget:   req.Budget,
 			Deadline: req.Deadline,
 			// Auto computes the bound once for its own report; the
 			// candidates need not repeat it.
 			Hints: map[string]string{"no-lower-bound": "1"},
 		}
-		if c.Cost == CostExponential && creq.Budget <= 0 {
+		if exp && creq.Budget <= 0 {
 			creq.Budget = autoExactBudget
 		}
 		tasks = append(tasks, Task{ID: c.Name, Engine: e, Request: creq})

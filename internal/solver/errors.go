@@ -19,9 +19,9 @@ var (
 )
 
 // taggedError attaches a sentinel to an underlying error without
-// changing its rendered message: Error() is the legacy text verbatim
-// (keeping /v1 response bodies byte-identical), while errors.Is sees
-// both the original chain and the sentinel.
+// changing its rendered message: Error() is the underlying text
+// verbatim, while errors.Is sees both the original chain and the
+// sentinel.
 type taggedError struct {
 	err      error
 	sentinel error

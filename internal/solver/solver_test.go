@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -24,49 +25,58 @@ func TestBuiltinsRegistered(t *testing.T) {
 		MultipleBin, MultipleLazy, MultipleBest, MultipleGreedy,
 		ExactSingle, ExactMultiple, LPRound, HeteroGreedy, HeteroExact,
 	} {
-		if _, err := Get(want); err != nil {
+		if _, err := Lookup(want); err != nil {
 			t.Errorf("built-in %q missing: %v", want, err)
 		}
 	}
-	if len(Solvers()) != len(names) {
-		t.Errorf("Solvers() returned %d entries for %d names", len(Solvers()), len(names))
+	if len(Engines()) != len(names) {
+		t.Errorf("Engines() returned %d entries for %d names", len(Engines()), len(names))
 	}
 }
 
+// trivialEngine is a throwaway engine under the given name.
+func trivialEngine(name string) Engine {
+	return NewEngine(Capabilities{Name: name, Policy: core.Single, SupportsDMax: true},
+		func(_ context.Context, req Request) (*core.Solution, int64, error) {
+			return core.Trivial(req.Instance), 0, nil
+		})
+}
+
 func TestRegisterRejectsCollisionsAndNil(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Error("Register(nil) should fail")
+	if err := RegisterEngine(nil); err == nil {
+		t.Error("RegisterEngine(nil) should fail")
 	}
-	if err := Register(Wrap("", core.Single, nil)); err == nil {
-		t.Error("Register with empty name should fail")
+	if err := RegisterEngine(trivialEngine("")); err == nil {
+		t.Error("RegisterEngine with empty name should fail")
 	}
-	if err := Register(Wrap(SingleGen, core.Single, nil)); err == nil {
+	if err := RegisterEngine(trivialEngine(SingleGen)); err == nil {
 		t.Error("duplicate registration should fail")
 	} else if !strings.Contains(err.Error(), SingleGen) {
 		t.Errorf("duplicate error should name the solver: %v", err)
 	}
-	// A fresh name registers and is visible to Get and List. The
+	// A fresh name registers and is visible to Lookup and List. The
 	// registry is process-global with no Unregister, so the name must
 	// be unique per invocation (go test -count=N reuses the process).
 	name := fmt.Sprintf("test-tmp-solver-%d", atomic.AddInt32(&tmpSolverSeq, 1))
-	tmp := Wrap(name, core.Single, func(in *core.Instance) (*core.Solution, error) {
-		return core.Trivial(in), nil
-	})
-	if err := Register(tmp); err != nil {
+	tmp := trivialEngine(name)
+	if err := RegisterEngine(tmp); err != nil {
 		t.Fatalf("fresh registration failed: %v", err)
 	}
-	if err := Register(tmp); err == nil {
+	if err := RegisterEngine(tmp); err == nil {
 		t.Error("re-registration should fail")
 	}
-	if _, err := Get(name); err != nil {
-		t.Errorf("registered solver not gettable: %v", err)
+	if got, err := Lookup(name); err != nil || got != tmp {
+		t.Errorf("registered engine not found by Lookup: %v", err)
+	}
+	if !slices.Contains(List(), name) {
+		t.Errorf("registered engine %q missing from List()", name)
 	}
 }
 
 var tmpSolverSeq int32
 
 func TestGetUnknownListsKnown(t *testing.T) {
-	_, err := Get("no-such-solver")
+	_, err := Lookup("no-such-solver")
 	if err == nil {
 		t.Fatal("unknown solver should fail")
 	}
@@ -91,32 +101,20 @@ func TestPolicyAndExactMetadata(t *testing.T) {
 		{HeteroExact, core.Multiple, true},
 	}
 	for _, c := range cases {
-		s := MustGet(c.name)
-		if got := PolicyOf(s); got != c.pol {
-			t.Errorf("%s: policy = %v, want %v", c.name, got, c.pol)
+		caps := MustLookup(c.name).Capabilities()
+		if caps.Policy != c.pol {
+			t.Errorf("%s: policy = %v, want %v", c.name, caps.Policy, c.pol)
 		}
-		if got := IsExact(s); got != c.exact {
-			t.Errorf("%s: exact = %v, want %v", c.name, got, c.exact)
+		if caps.Exact != c.exact {
+			t.Errorf("%s: exact = %v, want %v", c.name, caps.Exact, c.exact)
 		}
 	}
-	// A solver without metadata defaults to Single / not exact.
-	bare := bareSolver{}
-	if PolicyOf(bare) != core.Single || IsExact(bare) {
-		t.Error("metadata defaults wrong for bare solver")
-	}
-}
-
-type bareSolver struct{}
-
-func (bareSolver) Name() string { return "bare" }
-func (bareSolver) Solve(context.Context, *core.Instance) (*core.Solution, error) {
-	return nil, nil
 }
 
 func TestNoDGating(t *testing.T) {
 	in := withDistanceInstance(t)
 	for _, name := range []string{SingleNoD, SinglePassUp, SingleBest, SinglePushUp} {
-		if _, err := MustGet(name).Solve(context.Background(), in); err == nil {
+		if _, err := MustLookup(name).Solve(context.Background(), Request{Instance: in}); err == nil {
 			t.Errorf("%s on a distance-constrained instance should fail", name)
 		}
 	}
@@ -125,24 +123,7 @@ func TestNoDGating(t *testing.T) {
 func TestSolveHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MustGet(SingleGen).Solve(ctx, nodInstance(t)); err == nil {
+	if _, err := MustLookup(SingleGen).Solve(ctx, Request{Instance: nodInstance(t)}); err == nil {
 		t.Error("cancelled context should fail before solving")
-	}
-}
-
-func TestBudgetContext(t *testing.T) {
-	ctx := context.Background()
-	if got := BudgetFrom(ctx); got != 0 {
-		t.Fatalf("BudgetFrom(empty) = %d", got)
-	}
-	if got := BudgetFrom(WithBudget(ctx, 42)); got != 42 {
-		t.Fatalf("BudgetFrom = %d, want 42", got)
-	}
-	if WithBudget(ctx, 0) != ctx {
-		t.Error("WithBudget(0) should be a no-op")
-	}
-	// A starvation budget must abort the exact search with an error.
-	if _, err := MustGet(ExactMultiple).Solve(WithBudget(ctx, 1), nodInstance(t)); err == nil {
-		t.Error("budget of 1 should exhaust the exact solver")
 	}
 }
