@@ -640,20 +640,15 @@ func BenchmarkE13_ConjectureProbe(b *testing.B) {
 	}
 }
 
-// benchWarmSolve measures Engine.Solve on a ~200-node binary instance
-// through the public seam, cold (fresh heap per solve) or warm
-// (scratch-backed session buffers, zero allocations once ingested).
-// The cold/warm pairs are the recorded trajectory of BENCH_008.json
-// (cmd/benchrec runs the same shapes).
+// benchWarmSolve measures Engine.Solve on the ~200-node binary
+// gen.BenchInstance through the public seam, cold (no scratch lent:
+// ingest plus solve on a one-off scratch every time) or warm (a lent
+// scratch, zero allocations once ingested). The cold/warm pairs are
+// the recorded trajectory of the BENCH_*.json documents (cmd/benchrec
+// runs the same shapes).
 func benchWarmSolve(b *testing.B, name string, warm bool) {
-	rng := rand.New(rand.NewSource(97))
 	eng := solver.MustLookup(name)
-	in := gen.RandomInstance(rng, gen.TreeConfig{
-		Internals: 150, MaxArity: 2, MaxDist: 4, MaxReq: 10,
-	}, eng.Capabilities().SupportsDMax)
-	if in.W < in.Tree.MaxRequests() {
-		in.W = in.Tree.MaxRequests()
-	}
+	in := gen.BenchInstance(gen.BenchSeed, 150, eng.Capabilities().SupportsDMax)
 	req := solver.Request{Instance: in}
 	if warm {
 		req.Scratch = solver.NewScratch()
@@ -687,19 +682,14 @@ func BenchmarkWarmLPRoundCold(b *testing.B)        { benchWarmSolve(b, solver.LP
 func BenchmarkWarmLPRoundWarm(b *testing.B)        { benchWarmSolve(b, solver.LPRound, true) }
 
 // benchDeltaMutate measures one mutate-and-re-solve cycle at three
-// service levels: "cold" re-solves the mutated instance from scratch
-// (fresh allocations), "warm" re-solves on pooled scratch buffers, and
+// service levels: "cold" re-solves the mutated instance with no scratch
+// lent (a one-off scratch per solve), "warm" re-solves on a lent
+// scratch, and
 // "delta" drives a delta.Session whose incremental core recomputes
 // only the dirtied root paths. The ≥10× delta-vs-cold separation on
 // the 2k-node tree is an acceptance bar recorded in BENCH_008.json.
 func benchDeltaMutate(b *testing.B, internals int, mode string) {
-	rng := rand.New(rand.NewSource(97))
-	in := gen.RandomInstance(rng, gen.TreeConfig{
-		Internals: internals, MaxArity: 2, MaxDist: 4, MaxReq: 10,
-	}, true)
-	if in.W < in.Tree.MaxRequests() {
-		in.W = in.Tree.MaxRequests()
-	}
+	in := gen.BenchInstance(gen.BenchSeed, internals, true)
 	clients := in.Tree.Clients()
 	ctx := context.Background()
 

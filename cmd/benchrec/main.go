@@ -2,8 +2,10 @@
 // machine-readable JSON document. Two series:
 //
 //   - cold vs warm: the BenchmarkWarm* shapes of bench_test.go —
-//     Engine.Solve on a ~200-node binary instance, once allocating per
-//     solve (cold) and once on scratch-backed session buffers (warm).
+//     Engine.Solve of every session-backed engine on the ~200-node
+//     binary gen.BenchInstance, once with no scratch lent (cold:
+//     ingest plus solve on a one-off scratch per solve) and once on a
+//     lent scratch (warm: zero allocations once ingested).
 //
 //   - delta: the BenchmarkDelta* shapes — one mutate-and-re-solve
 //     cycle on ~200- and ~2k-node trees, as a cold solve, a warm
@@ -66,18 +68,6 @@ import (
 // series).
 const Schema = "replicatree-bench/v4"
 
-// warmEngines is the scratch-capable engine set (mirrors the
-// TestAllocs gate in warm_test.go).
-var warmEngines = []string{
-	solver.SingleGen,
-	solver.SingleNoD,
-	solver.MultipleBin,
-	solver.MultipleLazy,
-	solver.MultipleBest,
-	solver.MultipleGreedy,
-	solver.LPRound,
-}
-
 // Document is the recorded benchmark file.
 type Document struct {
 	Schema   string   `json:"schema"`
@@ -114,9 +104,9 @@ type DecompResult struct {
 }
 
 // DeltaResult is one (nodes, mode) mutate-and-re-solve measurement.
-// Mode "cold" re-solves the mutated instance from scratch, "warm"
-// re-solves on pooled scratch buffers, "delta" resolves incrementally
-// through a delta.Session.
+// Mode "cold" re-solves the mutated instance with no scratch lent
+// (ingest plus solve on a one-off scratch), "warm" re-solves on a lent
+// scratch, "delta" resolves incrementally through a delta.Session.
 type DeltaResult struct {
 	Engine      string  `json:"engine"`
 	Mode        string  `json:"mode"` // "cold" | "warm" | "delta"
@@ -135,7 +125,9 @@ type Shape struct {
 	DMax    int64 `json:"dmax,omitempty"` // omitted on the NoD twin
 }
 
-// Result is one (engine, mode) measurement.
+// Result is one (engine, mode) measurement. Mode "cold" solves with no
+// scratch lent (ingest plus solve on a one-off scratch), "warm" on a
+// lent scratch that has already ingested the instance.
 type Result struct {
 	Engine      string  `json:"engine"`
 	Mode        string  `json:"mode"` // "cold" | "warm"
@@ -150,20 +142,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchrec:", err)
 		os.Exit(1)
 	}
-}
-
-// benchInstance is the ~200-node binary instance of the BenchmarkWarm*
-// series: seed 97, binary so multiple-bin applies, W ≥ max rᵢ so the
-// Multiple preconditions hold.
-func benchInstance(withDistance bool) *core.Instance {
-	rng := rand.New(rand.NewSource(97))
-	in := gen.RandomInstance(rng, gen.TreeConfig{
-		Internals: 150, MaxArity: 2, MaxDist: 4, MaxReq: 10,
-	}, withDistance)
-	if in.W < in.Tree.MaxRequests() {
-		in.W = in.Tree.MaxRequests()
-	}
-	return in
 }
 
 func run(args []string) error {
@@ -183,7 +161,7 @@ func run(args []string) error {
 		return err
 	}
 
-	dist := benchInstance(true)
+	dist := gen.BenchInstance(gen.BenchSeed, 150, true)
 	doc := Document{
 		Schema: Schema,
 		Go:     runtime.Version(),
@@ -197,14 +175,14 @@ func run(args []string) error {
 		},
 	}
 	ctx := context.Background()
-	for _, name := range warmEngines {
+	for _, name := range solver.SessionEngines() {
 		eng, err := solver.Lookup(name)
 		if err != nil {
 			return err
 		}
 		in := dist
 		if !eng.Capabilities().SupportsDMax {
-			in = benchInstance(false)
+			in = gen.BenchInstance(gen.BenchSeed, 150, false)
 		}
 		for _, mode := range []string{"cold", "warm"} {
 			req := solver.Request{Instance: in}
@@ -330,23 +308,10 @@ func measureDecomp(ctx context.Context, nodes int) (DecompResult, error) {
 	}, nil
 }
 
-// deltaInstance mirrors the BenchmarkDelta* instance: a seed-97
-// binary tree with the requested internal-node count.
-func deltaInstance(internals int) *core.Instance {
-	rng := rand.New(rand.NewSource(97))
-	in := gen.RandomInstance(rng, gen.TreeConfig{
-		Internals: internals, MaxArity: 2, MaxDist: 4, MaxReq: 10,
-	}, true)
-	if in.W < in.Tree.MaxRequests() {
-		in.W = in.Tree.MaxRequests()
-	}
-	return in
-}
-
 // measureDelta benchmarks one mutate-and-re-solve cycle (mirrors
 // benchDeltaMutate in bench_test.go).
 func measureDelta(ctx context.Context, internals int, mode string) (DeltaResult, error) {
-	in := deltaInstance(internals)
+	in := gen.BenchInstance(gen.BenchSeed, internals, true)
 	clients := in.Tree.Clients()
 	res := DeltaResult{Engine: solver.SingleGen, Mode: mode, Nodes: in.Tree.Len()}
 

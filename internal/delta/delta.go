@@ -7,7 +7,7 @@
 //
 //   - single-gen runs the truly incremental Algorithm 1 (geninc.go):
 //     mutations dirty only the touched root paths, the re-solve
-//     recomputes just those, and the result is pinned equal to a cold
+//     recomputes just those, and the result is pinned equal to a full
 //     solve of the mutated instance.
 //   - delta-capable engines (multiple-replan) receive the previous
 //     solution via Request.Previous and the failed-server set via

@@ -53,7 +53,9 @@ import (
 // anchor per client, and the cheap O(n) inside/need postorder pass is
 // redone each resolve.
 
-// genPending mirrors single.genPending with persistent chain links.
+// genPending is Algorithm 1's pending couple (req, dist), as
+// single.Session.Gen keeps it on its value stack, with the client
+// bundles on persistent chain links instead of the session's arena.
 type genPending struct {
 	head, tail  tree.NodeID
 	total, dist int64
@@ -241,7 +243,7 @@ func (g *genInc) resolve(t *tree.Tree) error {
 		g.fullDirty = true
 	}
 
-	// Same feasibility gate and error text as the cold path, checked
+	// Same feasibility gate and error text as single.Gen, checked
 	// before any state is touched so a failed resolve leaves the
 	// session consistent (the dirty set survives for the next try).
 	for _, r := range g.f.Reqs {
@@ -491,7 +493,7 @@ func (g *genInc) place(procNode, site tree.NodeID, p *genPending) {
 // check guards the incremental bookkeeping with the cheap O(n) subset
 // of core.Verify: full coverage and capacity. Path/distance validity
 // is an algorithm invariant pinned by the metamorphic suite against
-// the (fully verified) cold path.
+// a full (verified) single-gen solve.
 func (g *genInc) check() error {
 	n := g.f.Len()
 	for j := 0; j < n; j++ {

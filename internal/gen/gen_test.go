@@ -558,3 +558,22 @@ func TestUniformTopologySolvable(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchInstanceFrozen pins the benchmark instance to the shapes the
+// recorded BENCH_*.json documents measured, so a change to the
+// generator cannot silently break the trajectory's comparability.
+func TestBenchInstanceFrozen(t *testing.T) {
+	in := BenchInstance(BenchSeed, 150, true)
+	if got := [4]int64{int64(in.Tree.Len()), int64(len(in.Tree.Clients())), in.W, in.DMax}; got != [4]int64{214, 64, 102, 11} {
+		t.Errorf("~200-node instance: (nodes, clients, W, DMax) = %v, want [214 64 102 11]", got)
+	}
+	if !in.Tree.IsBinary() || in.W < in.Tree.MaxRequests() {
+		t.Error("~200-node instance breaks the multiple-bin preconditions")
+	}
+	if nod := BenchInstance(BenchSeed, 150, false); !nod.NoD() {
+		t.Error("withDistance=false built a distance-constrained instance")
+	}
+	if n := BenchInstance(BenchSeed, 1500, true).Tree.Len(); n != 2074 {
+		t.Errorf("~2k-node instance has %d nodes, want 2074", n)
+	}
+}

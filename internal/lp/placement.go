@@ -20,9 +20,12 @@ import (
 // bound for Multiple (and hence for Single, whose optimum is never
 // smaller). Returns the fractional objective.
 func FractionalReplicas(in *core.Instance) (float64, error) {
-	p, _, _, err := buildPlacement(in)
-	if err != nil || p == nil {
+	if err := in.Validate(); err != nil {
 		return 0, err
+	}
+	p, _, _ := buildPlacement(in)
+	if p == nil {
+		return 0, nil
 	}
 	_, obj, err := Solve(p)
 	if err != nil {
@@ -34,11 +37,9 @@ func FractionalReplicas(in *core.Instance) (float64, error) {
 // buildPlacement constructs the placement relaxation. It returns the
 // problem, the candidate servers in variable order, and nx, the number
 // of x (assignment-arc) variables preceding the y (server-activation)
-// block. A nil problem means the instance has no requests.
-func buildPlacement(in *core.Instance) (p *Problem, servers []tree.NodeID, nx int, err error) {
-	if err := in.Validate(); err != nil {
-		return nil, nil, 0, err
-	}
+// block. A nil problem means the instance has no requests. in must be
+// valid.
+func buildPlacement(in *core.Instance) (p *Problem, servers []tree.NodeID, nx int) {
 	t := in.Tree
 
 	// Index clients and candidate servers.
@@ -59,7 +60,7 @@ func buildPlacement(in *core.Instance) (p *Problem, servers []tree.NodeID, nx in
 		}
 	}
 	if len(clients) == 0 {
-		return nil, nil, 0, nil
+		return nil, nil, 0
 	}
 
 	// Variable layout: x arcs first, then y per server.
@@ -113,7 +114,7 @@ func buildPlacement(in *core.Instance) (p *Problem, servers []tree.NodeID, nx in
 		row[nx+si] = 1
 		addRow(row, 1, LE)
 	}
-	return p, servers, nx, nil
+	return p, servers, nx
 }
 
 // LowerBound returns ⌈FractionalReplicas⌉, a valid lower bound on the

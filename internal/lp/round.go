@@ -1,11 +1,7 @@
 package lp
 
 import (
-	"fmt"
-	"sort"
-
 	"replicatree/internal/core"
-	"replicatree/internal/exact"
 	"replicatree/internal/tree"
 )
 
@@ -21,64 +17,17 @@ import (
 // ℓp-Box ADMM line of work: exact and LP-guided solvers answer the
 // same contract, so consumers can trade optimality for speed by name.
 func Placement(in *core.Instance) (*core.Solution, error) {
-	const eps = 1e-7
-	p, servers, nx, err := buildPlacement(in)
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	var s Session
+	s.Reset(in, tree.Flatten(in.Tree))
+	sol, err := s.Placement()
 	if err != nil {
 		return nil, err
 	}
-	if p == nil { // no requests: the empty solution is optimal
-		sol := &core.Solution{}
-		sol.Normalize()
-		return sol, nil
-	}
-	x, _, err := Solve(p)
-	if err != nil {
-		return nil, fmt.Errorf("lp: placement relaxation: %w", err)
-	}
-
-	type frac struct {
-		s tree.NodeID
-		y float64
-	}
-	var support []frac
-	for si, s := range servers {
-		if x[nx+si] > eps {
-			support = append(support, frac{s, x[nx+si]})
-		}
-	}
-	// Prune least-fractional replicas first: a server the LP barely
-	// opened is the one integral capacities most likely cover.
-	sort.Slice(support, func(a, b int) bool {
-		if support[a].y != support[b].y {
-			return support[a].y < support[b].y
-		}
-		return support[a].s < support[b].s
-	})
-	R := make([]tree.NodeID, len(support))
-	for i, f := range support {
-		R[i] = f.s
-	}
-	if !exact.MultipleFeasible(in, R) {
-		// Numerically truncated support (y_s ≤ eps dropped): fall back
-		// to every candidate server and let pruning shrink it.
-		R = append([]tree.NodeID{}, servers...)
-		if !exact.MultipleFeasible(in, R) {
-			return nil, fmt.Errorf("lp: instance infeasible under the Multiple policy")
-		}
-	}
-	for i := 0; i < len(R); {
-		trial := make([]tree.NodeID, 0, len(R)-1)
-		trial = append(trial, R[:i]...)
-		trial = append(trial, R[i+1:]...)
-		if exact.MultipleFeasible(in, trial) {
-			R = trial
-		} else {
-			i++
-		}
-	}
-	sol, err := exact.MultipleAssignment(in, R)
-	if err != nil {
-		return nil, fmt.Errorf("lp: assignment on rounded support: %w", err)
-	}
-	return sol, nil
+	// A copy of the Solution header keeps the solution, not the
+	// session's dense LP matrices, alive in the caller.
+	out := *sol
+	return &out, nil
 }

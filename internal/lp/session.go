@@ -9,24 +9,25 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state of the LP-rounding solver.
-// Reset ingests an instance once — building the placement relaxation
-// and the client/eligible-server CSR is allowed to allocate there —
-// and Placement then re-solves with zero heap allocations: the simplex
+// Session is the implementation of the LP-rounding solver. Reset
+// ingests an instance once — building the placement relaxation and the
+// client/eligible-server CSR is allowed to allocate there — and
+// Placement then re-solves with zero heap allocations: the simplex
 // runs in a Workspace, the support/prune buffers are reused, and the
 // max-flow feasibility oracle rebuilds its network inside a recycled
 // flow.Network.
 //
-// Warm Placement returns exactly the solution of the package-level
-// Placement. The two non-obvious equivalences: the support sort uses
-// the strict total order (y, server), so the unstable cold sort and
-// the warm sort agree; and the flow network rebuild lays out each
-// node's adjacency exactly as exact.buildFlow does (per server, the
-// sink arc is pushed last and therefore scanned first), while BFS
-// levels are insertion-order independent, so Dinic routes identical
-// arc flows. The returned *core.Solution is owned by the session and
-// valid until the next solve. A Session is not safe for concurrent
-// use.
+// Placement returns exactly the solution of the allocating spelling
+// (throwaway simplex, exact.MultipleFeasible/MultipleAssignment) that
+// the tests keep as the reference oracle. The two non-obvious
+// equivalences: the support sort uses the strict total order
+// (y, server), so the oracle's unstable sort and this sort agree; and
+// the flow network rebuild lays out each node's adjacency exactly as
+// exact.buildFlow does (per server, the sink arc is pushed last and
+// therefore scanned first), while BFS levels are insertion-order
+// independent, so Dinic routes identical arc flows. The returned
+// *core.Solution is owned by the session and valid until the next
+// solve. A Session is not safe for concurrent use.
 type Session struct {
 	in   *core.Instance
 	flat *tree.Flat
@@ -63,15 +64,11 @@ type sessArc struct {
 	arc            int
 }
 
-// Reset ingests the instance: it builds the LP relaxation and the
-// eligibility CSR. Unlike the per-solve path it may allocate. The
-// instance must be valid (buildPlacement re-validates, matching the
-// cold path's error).
-func (s *Session) Reset(in *core.Instance, f *tree.Flat) error {
-	p, servers, nx, err := buildPlacement(in)
-	if err != nil {
-		return err
-	}
+// Reset ingests the instance and its flat twin: it builds the LP
+// relaxation and the eligibility CSR. Unlike the per-solve path it may
+// allocate. The caller must have validated the instance.
+func (s *Session) Reset(in *core.Instance, f *tree.Flat) {
+	p, servers, nx := buildPlacement(in)
 	s.in = in
 	s.flat = f
 	s.prob = p
@@ -115,10 +112,10 @@ func (s *Session) Reset(in *core.Instance, f *tree.Flat) error {
 	for i := range s.serverNode {
 		s.serverNode[i] = -1
 	}
-	return nil
 }
 
-// Placement is the warm-path Placement.
+// Placement solves the relaxation and rounds it (see the package-level
+// Placement).
 func (s *Session) Placement() (*core.Solution, error) {
 	const eps = 1e-7
 	s.sol.Replicas = s.sol.Replicas[:0]
@@ -137,8 +134,9 @@ func (s *Session) Placement() (*core.Solution, error) {
 			s.support = append(s.support, frac{srv, x[s.nx+si]})
 		}
 	}
-	// Prune least-fractional replicas first; (y, server) is a strict
-	// total order, so this agrees with the cold path's unstable sort.
+	// Prune least-fractional replicas first: a server the LP barely
+	// opened is the one integral capacities most likely cover.
+	// (y, server) is a strict total order, so the sort is unique.
 	slices.SortFunc(s.support, func(a, b frac) int {
 		switch {
 		case a.y < b.y:
@@ -220,8 +218,8 @@ func (s *Session) clearServerNodes() {
 	}
 }
 
-// feasible is the warm exact.MultipleFeasible: can R serve all
-// requests under the Multiple policy?
+// feasible is exact.MultipleFeasible on the session's buffers: can R
+// serve all requests under the Multiple policy?
 func (s *Session) feasible(R []tree.NodeID) bool {
 	total := s.buildFlow(R)
 	defer s.clearServerNodes()
@@ -231,7 +229,8 @@ func (s *Session) feasible(R []tree.NodeID) bool {
 	return s.net.MaxFlow(0, 1) == total
 }
 
-// assignment is the warm exact.MultipleAssignment on s.R.
+// assignment is exact.MultipleAssignment on s.R, on the session's
+// buffers.
 func (s *Session) assignment() (*core.Solution, error) {
 	total := s.buildFlow(s.R)
 	defer s.clearServerNodes()

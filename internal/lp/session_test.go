@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,8 +25,8 @@ func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 			Internals: 1 + rng.Intn(10),
 			MaxArity:  2 + rng.Intn(2),
 		}, rng.Intn(2) == 0)
-		p, _, _, err := buildPlacement(in)
-		if err != nil || p == nil {
+		p, _, _ := buildPlacement(in)
+		if p == nil {
 			continue
 		}
 		xCold, objCold, errCold := Solve(p)
@@ -45,8 +46,29 @@ func TestWorkspaceSolveMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestLPSessionMatchesCold pins the warm Placement contract.
-func TestLPSessionMatchesCold(t *testing.T) {
+// sameOutcome fails unless a solve matches the oracle's outcome: the
+// same error text, or the same normalized solution.
+func sameOutcome(t *testing.T, what string, want *core.Solution, wantErr error, got *core.Solution, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle err %v, got err %v", what, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: oracle err %q, got err %q", what, wantErr, gotErr)
+		}
+		return
+	}
+	if !sessionSolEqual(want, got) {
+		t.Fatalf("%s:\n oracle %v\n got    %v", what, want, got)
+	}
+}
+
+// TestLPSessionMatchesOracle pins Placement to the allocating oracle:
+// a Session solve, repeated on the same session, and the package-level
+// wrapper (validate, flatten, fresh session) return exactly the
+// oracle's normalized solution or error text.
+func TestLPSessionMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var s Session
 	var f tree.Flat
@@ -59,19 +81,22 @@ func TestLPSessionMatchesCold(t *testing.T) {
 			ExtraClients: rng.Intn(3),
 		}, rng.Intn(2) == 0)
 		tree.FlattenInto(&f, in.Tree)
-		if err := s.Reset(in, &f); err != nil {
-			t.Fatalf("instance %d: ingest: %v", i, err)
-		}
+		s.Reset(in, &f)
 		for round := 0; round < 2; round++ {
-			cold, coldErr := Placement(in)
-			warm, warmErr := s.Placement()
-			if (coldErr == nil) != (warmErr == nil) {
-				t.Fatalf("instance %d: cold err %v, warm err %v", i, coldErr, warmErr)
-			}
-			if coldErr == nil && !sessionSolEqual(cold, warm) {
-				t.Fatalf("instance %d:\n cold %v\n warm %v", i, cold, warm)
-			}
+			want, wantErr := oraclePlacement(in)
+			got, gotErr := s.Placement()
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: session", i, round), want, wantErr, got, gotErr)
+			got, gotErr = Placement(in)
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: Placement", i, round), want, wantErr, got, gotErr)
 		}
+	}
+	// The wrapper validates before it flattens.
+	bad := &core.Instance{Tree: gen.RandomTree(rng, gen.TreeConfig{Internals: 4}), W: 0, DMax: core.NoDistance}
+	want, wantErr := oraclePlacement(bad)
+	got, gotErr := Placement(bad)
+	sameOutcome(t, "invalid instance: Placement", want, wantErr, got, gotErr)
+	if gotErr == nil {
+		t.Fatal("Placement accepted W=0")
 	}
 }
 
@@ -82,9 +107,7 @@ func TestLPSessionAllocFree(t *testing.T) {
 	in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 10, MaxArity: 3}, true)
 	f := tree.Flatten(in.Tree)
 	var s Session
-	if err := s.Reset(in, f); err != nil {
-		t.Fatal(err)
-	}
+	s.Reset(in, f)
 	if _, err := s.Placement(); err != nil {
 		t.Fatal(err)
 	}

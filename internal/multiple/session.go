@@ -8,11 +8,12 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state for the Multiple-policy
-// algorithms. Bind it to a validated instance with Reset, then call
-// Bin/Greedy/Lazy/Best repeatedly: once the buffers have grown, warm
-// solves perform zero heap allocations and return exactly the
-// normalized solution of the package-level functions.
+// Session is the implementation of the Multiple-policy algorithms.
+// Bind it to a validated instance with Reset, then call
+// Bin/Greedy/Lazy/Best repeatedly: once the buffers have grown, solves
+// perform zero heap allocations. Every solve returns exactly the
+// normalized solution of the recursive pointer-tree spelling of
+// Algorithm 3, which the tests keep as the reference oracle.
 //
 // Layout: the per-node req/proc lists of Algorithm 3 are per-node
 // slices reused across solves (each node owns its backing array, so
@@ -22,14 +23,14 @@ import (
 // in grow-only arenas addressed by [base, end) index pairs so that
 // recursion levels stack without aliasing.
 //
-// Equivalences relied on (vs. the allocating cold path):
+// Equivalences relied on (vs. the recursive oracle):
 //   - mergeAll(addDist parts) is a left-biased fold of stable merges,
 //     which equals a stable sort by non-increasing d of the parts
 //     concatenated in child order;
 //   - proc/keep lists are only ever read as multisets (run feeds them
 //     through Solution.Normalize), so their internal order is free —
 //     only req lists, which later takes split by prefix, must keep the
-//     exact cold order.
+//     exact oracle order.
 //
 // The returned *core.Solution is owned by the session and valid until
 // the next solve. A Session is not safe for concurrent use.
@@ -58,7 +59,7 @@ func (s *Session) Reset(in *core.Instance, f *tree.Flat) {
 	s.flat = f
 }
 
-// Bin is the warm-path Bin (Algorithm 3; binary trees, ri ≤ W).
+// Bin runs Algorithm 3 (binary trees, ri ≤ W).
 func (s *Session) Bin() (*core.Solution, error) {
 	if !s.flat.IsBinary() {
 		return nil, fmt.Errorf("multiple: Bin requires a binary tree (arity %d)", s.in.Tree.Arity())
@@ -70,7 +71,7 @@ func (s *Session) Bin() (*core.Solution, error) {
 	return s.run(false, &s.solA)
 }
 
-// Greedy is the warm-path Greedy (eager variant, arbitrary arity).
+// Greedy runs the eager variant on trees of any arity.
 func (s *Session) Greedy() (*core.Solution, error) {
 	if s.flat.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -79,7 +80,7 @@ func (s *Session) Greedy() (*core.Solution, error) {
 	return s.run(false, &s.solA)
 }
 
-// Lazy is the warm-path Lazy (delayed-placement variant).
+// Lazy runs the delayed-placement variant.
 func (s *Session) Lazy() (*core.Solution, error) {
 	if s.flat.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Lazy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -89,7 +90,7 @@ func (s *Session) Lazy() (*core.Solution, error) {
 }
 
 // Best runs the eager and lazy variants and returns the better one,
-// exactly like the package-level Best.
+// with ties going to the eager one.
 func (s *Session) Best() (*core.Solution, error) {
 	if s.flat.MaxRequests() > s.in.W {
 		return nil, fmt.Errorf("multiple: Greedy requires ri ≤ W for all clients (max r=%d, W=%d)",
@@ -149,7 +150,8 @@ func (s *Session) run(lazy bool, sol *core.Solution) (*core.Solution, error) {
 	return sol, nil
 }
 
-// visit mirrors state.visit on the flat tree. The merge buffer vtmp is
+// visit is the procedure multiple-bin(j) of Algorithm 3 on the flat
+// tree (written for arbitrary arity). The merge buffer vtmp is
 // shared across levels: a level's use ends (content copied into
 // req/proc) before it returns to its parent, and the child recursion
 // happens before the parent touches vtmp.
@@ -199,12 +201,18 @@ func (s *Session) visit(j tree.NodeID) {
 		wtot += tmp[i].w
 	}
 
+	// blockedAbove reports whether a request at distance d cannot be
+	// served at parent(j): past the root (δr = +∞, so nothing ever
+	// leaves the root, even with dmax = ∞) or beyond the distance
+	// bound.
 	root := f.Root()
 	blockedAbove := func(d int64) bool {
 		return j == root || tree.SatAdd(d, f.Dist(j)) > dmax
 	}
 
 	if len(tmp) > 0 && (blockedAbove(tmp[0].d) || (!s.lazy && wtot > s.in.W)) {
+		// Place a server at j and fill it with the most
+		// distance-constrained requests, up to capacity W.
 		i, splitW := splitPoint(tmp, s.in.W)
 		s.inR[j] = true
 		s.proc[j] = append(s.proc[j], tmp[:i]...)
@@ -219,12 +227,15 @@ func (s *Session) visit(j tree.NodeID) {
 	}
 
 	if l := s.req[j]; len(l) > 0 && blockedAbove(l[0].d) {
+		// Some requests can be served neither at j (capacity) nor
+		// above j (distance): re-arrange assignments and add an extra
+		// server inside subtree(j).
 		s.extraServer(j)
 		s.req[j] = s.req[j][:0]
 	}
 }
 
-// splitPoint computes the cold take(w) split: the prefix l[:i] fits
+// splitPoint computes the oracle's take(w) split: the prefix l[:i] fits
 // whole, and splitW (0 if none) of l[i] is additionally kept to reach
 // exactly w.
 func splitPoint(l list, w int64) (i int, splitW int64) {
@@ -242,12 +253,32 @@ func splitPoint(l list, w int64) (i int, splitW int64) {
 	return len(l), 0
 }
 
-// extraServer mirrors state.extraServer. Children and pending segments
-// live in the kids/pend arenas, the keep list in the keep arena; the
-// recursion (extraServer of a saturated child, serveInside splits)
-// appends beyond this level's segments and truncates back before
-// returning, so indices — not slice headers — address the segments
-// across recursive calls.
+// extraServer implements (and generalises) the extra-server(j)
+// procedure of Algorithm 3. Node j is already a server; the requests
+// that flowed through j — the units of ∪c req(c), which include j's
+// current proc(j) and the blocked leftover req(j) — must all be served
+// inside subtree(j). The procedure reassigns them:
+//
+//   - j keeps whole child lists, smallest first, up to capacity W
+//     (the paper keeps req(lchild); keeping the smaller list first is
+//     equivalent for the Theorem 6 counting argument and strictly
+//     better on wider trees);
+//   - a child that is not yet a server may have its list split: part
+//     is kept at j, the remainder is served inside the child's
+//     subtree (the Multiple policy allows splitting);
+//   - a child that is already a saturated server absorbs its whole
+//     list by the paper's swap: extraServer(child) re-covers
+//     temp(child) = proc(child) ⊎ req(child) entirely inside the
+//     child's subtree, adding exactly one server on binary trees.
+//
+// Every entry of req(c) is servable at c (it passed c's own distance
+// check) and at j = parent(c), so no distance constraint can break.
+//
+// Children and pending segments live in the kids/pend arenas, the keep
+// list in the keep arena; the recursion (extraServer of a saturated
+// child, serveInside splits) appends beyond this level's segments and
+// truncates back before returning, so indices — not slice headers —
+// address the segments across recursive calls.
 func (s *Session) extraServer(j tree.NodeID) {
 	f := s.flat
 	kidsBase := len(s.kids)
@@ -337,9 +368,13 @@ func (s *Session) extraServer(j tree.NodeID) {
 	s.keep = s.keep[:keepBase]
 }
 
-// serveInside mirrors state.serveInside; the input list is the part
-// arena segment [base, end), and the per-child partitions are appended
-// after it (each recursion truncates back to its own base on return).
+// serveInside serves the part arena segment [base, end) (expressed in
+// c's frame: every unit flowed up through c and is servable at c)
+// inside subtree(c). If c is free it becomes a server for up to W
+// units; any remainder descends towards the units' origin clients,
+// which are necessarily free — a client with a replica never passes
+// requests up. The per-child partitions are appended after the segment
+// (each recursion truncates back to its own base on return).
 func (s *Session) serveInside(c tree.NodeID, base, end int) {
 	if end == base {
 		return
@@ -366,7 +401,7 @@ func (s *Session) serveInside(c tree.NodeID, base, end int) {
 	}
 	// Partition the remainder by the child each unit came through,
 	// preserving the list order inside each part (one filtering scan
-	// per child, in child order — same parts as the cold map build).
+	// per child, in child order — same parts as the oracle's map build).
 	for gc := f.FirstChild[c]; gc != tree.None; gc = f.NextSibling[gc] {
 		partBase := len(s.part)
 		dgc := f.Dist(gc)

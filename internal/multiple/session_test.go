@@ -1,6 +1,7 @@
 package multiple
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -34,9 +35,45 @@ func sessionInstance(rng *rand.Rand, binary bool) *core.Instance {
 	return in
 }
 
-// TestMultipleSessionMatchesCold pins the warm-path contract for all
-// four variants against the package-level functions.
-func TestMultipleSessionMatchesCold(t *testing.T) {
+// sameOutcome fails unless a solve matches the oracle's outcome: the
+// same error text, or the same normalized solution.
+func sameOutcome(t *testing.T, what string, want *core.Solution, wantErr error, got *core.Solution, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle err %v, got err %v", what, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: oracle err %q, got err %q", what, wantErr, gotErr)
+		}
+		return
+	}
+	if !sessionSolEqual(want, got) {
+		t.Fatalf("%s:\n oracle %v\n got    %v", what, want, got)
+	}
+}
+
+// multipleVariant pairs a package-level function, its Session method
+// and its recursive oracle.
+type multipleVariant struct {
+	name    string
+	wrapper func(*core.Instance) (*core.Solution, error)
+	session func(*Session) (*core.Solution, error)
+	oracle  func(*core.Instance) (*core.Solution, error)
+}
+
+var multipleVariants = []multipleVariant{
+	{"greedy", Greedy, (*Session).Greedy, oracleGreedy},
+	{"lazy", Lazy, (*Session).Lazy, oracleLazy},
+	{"best", Best, (*Session).Best, oracleBest},
+	{"bin", Bin, (*Session).Bin, oracleBin},
+}
+
+// TestMultipleSessionMatchesOracle pins all four variants to the
+// recursive oracle: a Session solve, repeated on the same session, and
+// the package-level wrapper (validate, flatten, fresh session) return
+// exactly the oracle's normalized solution or error text.
+func TestMultipleSessionMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var s Session
 	var f tree.Flat
@@ -45,35 +82,46 @@ func TestMultipleSessionMatchesCold(t *testing.T) {
 		in := sessionInstance(rng, binary)
 		tree.FlattenInto(&f, in.Tree)
 		s.Reset(in, &f)
-		type variant struct {
-			name string
-			cold func(*core.Instance) (*core.Solution, error)
-			warm func() (*core.Solution, error)
-		}
-		variants := []variant{
-			{"greedy", Greedy, s.Greedy},
-			{"lazy", Lazy, s.Lazy},
-			{"best", Best, s.Best},
-		}
-		if binary {
-			variants = append(variants, variant{"bin", Bin, s.Bin})
-		}
 		for round := 0; round < 2; round++ {
-			for _, v := range variants {
-				cold, coldErr := v.cold(in)
-				warm, warmErr := v.warm()
-				if (coldErr == nil) != (warmErr == nil) {
-					t.Fatalf("instance %d %s: cold err %v, warm err %v", i, v.name, coldErr, warmErr)
+			for _, v := range multipleVariants {
+				if v.name == "bin" && !binary {
+					continue
 				}
-				if coldErr == nil && !sessionSolEqual(cold, warm) {
-					t.Fatalf("instance %d %s:\n cold %v\n warm %v", i, v.name, cold, warm)
-				}
+				want, wantErr := v.oracle(in)
+				got, gotErr := v.session(&s)
+				sameOutcome(t, fmt.Sprintf("instance %d round %d: session %s", i, round, v.name), want, wantErr, got, gotErr)
+				got, gotErr = v.wrapper(in)
+				sameOutcome(t, fmt.Sprintf("instance %d round %d: package %s", i, round, v.name), want, wantErr, got, gotErr)
 			}
+		}
+	}
+	// The wrappers validate before they flatten, and report the
+	// oracle's precondition errors (r > W, a non-binary tree for Bin).
+	bad := sessionInstance(rng, false)
+	for _, in := range []*core.Instance{
+		{Tree: bad.Tree, W: 0, DMax: core.NoDistance},
+		{Tree: bad.Tree, W: bad.Tree.MaxRequests() - 1, DMax: bad.DMax},
+		{Tree: ternaryTree(), W: 5, DMax: core.NoDistance},
+	} {
+		for _, v := range multipleVariants {
+			want, wantErr := v.oracle(in)
+			got, gotErr := v.wrapper(in)
+			sameOutcome(t, "precondition: package "+v.name, want, wantErr, got, gotErr)
 		}
 	}
 }
 
-// TestMultipleSessionPreconditions mirrors the cold errors.
+// ternaryTree is a root with three clients of two requests each.
+func ternaryTree() *tree.Tree {
+	b := tree.NewBuilder()
+	r := b.Root("")
+	b.Client(r, 1, 2, "")
+	b.Client(r, 1, 2, "")
+	b.Client(r, 1, 2, "")
+	return b.MustBuild()
+}
+
+// TestMultipleSessionPreconditions pins the precondition errors.
 func TestMultipleSessionPreconditions(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.Root("")
@@ -93,12 +141,7 @@ func TestMultipleSessionPreconditions(t *testing.T) {
 	}
 
 	// Ternary root: Bin must refuse, Greedy must accept.
-	b2 := tree.NewBuilder()
-	r2 := b2.Root("")
-	b2.Client(r2, 1, 2, "")
-	b2.Client(r2, 1, 2, "")
-	b2.Client(r2, 1, 2, "")
-	in2 := &core.Instance{Tree: b2.MustBuild(), W: 5, DMax: core.NoDistance}
+	in2 := &core.Instance{Tree: ternaryTree(), W: 5, DMax: core.NoDistance}
 	f2 := tree.Flatten(in2.Tree)
 	s.Reset(in2, f2)
 	if _, err := s.Bin(); err == nil {

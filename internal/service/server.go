@@ -252,13 +252,13 @@ func (s *Server) solveCached(ctx context.Context, eng solver.Engine, req solver.
 		return out, nil
 	}
 	begin := time.Now()
-	// Lend the engine a pooled scratch: warm-capable engines then solve
-	// on recycled session buffers instead of fresh heap, which is where
-	// a cache-miss solve spends most of its allocations. The solution a
-	// warm solve reports is scratch-owned, so it is detached with Clone
-	// before the scratch returns to the pool (engines without a warm
-	// path ignore the scratch; the extra copy of their small solution
-	// is noise next to the solve).
+	// Lend the engine a pooled scratch: session-backed engines then
+	// solve on recycled session buffers instead of a one-off scratch,
+	// which is where a cache-miss solve spends most of its allocations.
+	// The solution they report is scratch-owned, so it is detached with
+	// Clone before the scratch returns to the pool (other engines
+	// ignore the scratch; the extra copy of their small solution is
+	// noise next to the solve).
 	//
 	// Verification runs on the same scratch before it goes back: its
 	// verify tables, on the flat twin the engine ingested (or, for

@@ -1,5 +1,9 @@
 package single
 
+// The recursive spellings of Algorithms 1 and 2 over the pointer tree:
+// the reference oracles that TestSessionMatchesOracle compares the
+// Session and the package-level wrappers against.
+
 import (
 	"fmt"
 	"sort"
@@ -8,24 +12,129 @@ import (
 	"replicatree/internal/tree"
 )
 
-// entry is an element of the sorted pending list Lj of Algorithm 2: a
-// node (child of j, or a descendant re-attached to j by an earlier
-// server placement) together with the whole-client request bundles it
-// carries. Under Single a bundle travels and is assigned as a unit.
-type entry struct {
-	node    tree.NodeID
-	total   int64
+// pending is a batch of whole-client request bundles flowing up the
+// tree. Under the Single policy a bundle is never split: either the
+// whole client is assigned to a server or it keeps travelling up.
+type pending struct {
 	clients []clientReq
+	total   int64
+	dist    int64 // remaining distance budget: requests must be served within dist of the current node
 }
 
-// NoD runs Algorithm 2 (single-nod), the 2-approximation for
-// Single-NoD. The instance's DMax is ignored: the algorithm assumes no
-// distance constraint, and the returned solution is feasible for the
-// NoD relaxation of the instance (it is also feasible for the original
-// instance whenever the original instance's DMax is NoDistance).
-//
-// Time complexity: O((Δ log Δ + |C|)·|T|) (Theorem 4).
-func NoD(in *core.Instance) (*core.Solution, error) {
+// oracleGen is the recursive Algorithm 1 (single-gen).
+func oracleGen(in *core.Instance) (*core.Solution, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if !in.Feasible(core.Single) {
+		return nil, fmt.Errorf("single: some client exceeds W=%d; Single has no solution", in.W)
+	}
+	sol := &core.Solution{}
+	g := &genState{in: in, sol: sol}
+	p := g.visit(in.Tree.Root())
+	// The paper's procedure guarantees single-gen(r) = (0, dmax):
+	// everything has been assigned once the root returns.
+	if p.total != 0 {
+		panic("single: gen left unassigned requests at the root")
+	}
+	sol.Normalize()
+	if err := core.Verify(in, core.Single, sol); err != nil {
+		return nil, fmt.Errorf("single: gen produced infeasible solution: %w", err)
+	}
+	return sol, nil
+}
+
+type genState struct {
+	in  *core.Instance
+	sol *core.Solution
+}
+
+// place puts a replica at node x serving all of p's clients.
+func (g *genState) place(x tree.NodeID, p *pending) {
+	g.sol.AddReplica(x)
+	for _, c := range p.clients {
+		g.sol.Assign(c.client, x, c.r)
+	}
+	p.clients = nil
+	p.total = 0
+	p.dist = g.in.DMax
+}
+
+// visit is the recursive procedure single-gen(j) of Algorithm 1. It
+// returns the couple (req, dist): req ≤ W requests that still need to
+// be processed at or above j, within distance dist of j.
+func (g *genState) visit(j tree.NodeID) pending {
+	t := g.in.Tree
+	if t.IsClient(j) {
+		p := pending{total: t.Requests(j), dist: g.in.DMax}
+		if p.total > 0 {
+			p.clients = []clientReq{{j, p.total}}
+		}
+		return p
+	}
+
+	children := t.Children(j)
+	ps := make([]pending, len(children))
+	var sum int64
+	for k, c := range children {
+		p := g.visit(c)
+		// Step 1: if the pending requests of child c cannot travel the
+		// edge (c → j), serve them at c itself.
+		if t.Dist(c) > p.dist && p.total > 0 {
+			g.place(c, &p)
+		} else {
+			p.dist -= t.Dist(c)
+		}
+		ps[k] = p
+		sum += p.total
+	}
+
+	if sum > g.in.W {
+		// Step 2: too much to carry; a server on every child that
+		// still has pending requests.
+		for k := range ps {
+			if ps[k].total > 0 {
+				g.place(children[k], &ps[k])
+			}
+		}
+		return pending{dist: g.in.DMax}
+	}
+
+	if j == t.Root() {
+		// Step 3a: the root absorbs whatever remains.
+		if sum > 0 {
+			g.sol.AddReplica(j)
+			for k := range ps {
+				for _, c := range ps[k].clients {
+					g.sol.Assign(c.client, j, c.r)
+				}
+			}
+		}
+		return pending{dist: g.in.DMax}
+	}
+
+	// Step 3b: forward the merged pending set upwards. The distance
+	// budget of the merge is the minimum over contributing children.
+	// (The paper takes the minimum over all children; we restrict it to
+	// children that actually forward requests — a child forwarding
+	// nothing cannot constrain anything. On instances where every
+	// client has requests the two definitions coincide.)
+	out := pending{dist: g.in.DMax}
+	for k := range ps {
+		if ps[k].total == 0 {
+			continue
+		}
+		out.clients = append(out.clients, ps[k].clients...)
+		out.total += ps[k].total
+		if ps[k].dist < out.dist {
+			out.dist = ps[k].dist
+		}
+	}
+	return out
+}
+
+// oracleNoD is the recursive Algorithm 2 (single-nod).
+func oracleNoD(in *core.Instance) (*core.Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}

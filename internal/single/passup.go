@@ -61,6 +61,22 @@ func NoDBest(in *core.Instance) (*core.Solution, error) {
 	return a, nil
 }
 
+// clientReq is one whole-client request bundle: under Single it
+// travels and is assigned as a unit.
+type clientReq struct {
+	client tree.NodeID
+	r      int64
+}
+
+// entry is an element of a pending list: a node (child of j, or a
+// descendant re-attached to j by an earlier server placement)
+// together with the client bundles it carries.
+type entry struct {
+	node    tree.NodeID
+	total   int64
+	clients []clientReq
+}
+
 type passUpState struct {
 	in    *core.Instance
 	sol   *core.Solution

@@ -8,12 +8,13 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Session is the reusable warm-path state for the Single-policy
-// algorithms. Bind it to a validated instance with Reset, then call
-// Gen/NoD repeatedly: after the first solve has grown the buffers,
-// further solves on the same (or a same-shape) instance perform zero
-// heap allocations and return exactly the solution the package-level
-// Gen/NoD would.
+// Session is the implementation of the Single-policy algorithms.
+// Bind it to a validated instance with Reset, then call Gen/NoD
+// repeatedly: after the first solve has grown the buffers, further
+// solves on the same (or a same-shape) instance perform zero heap
+// allocations. Every solve returns exactly the solution of the
+// recursive pointer-tree spelling of the algorithm, which the tests
+// keep as the reference oracle.
 //
 // All working memory lives in the session: client bundles are nodes of
 // an arena linked list (so merging bundles is O(1) pointer splicing
@@ -42,15 +43,16 @@ type cnode struct {
 	next   int32
 }
 
-// genPending mirrors pending with the clients slice replaced by an
-// arena list [head, tail].
+// genPending is the couple (req, dist) of Algorithm 1: the pending
+// client bundles as an arena list [head, tail], their total, and the
+// distance budget they have left.
 type genPending struct {
 	head, tail  int32
 	total, dist int64
 }
 
-// nentry mirrors entry with the clients slice replaced by an arena
-// list [head, tail].
+// nentry is an element of the sorted list Lj of Algorithm 2: a node
+// and the client bundles it carries, as an arena list [head, tail].
 type nentry struct {
 	node       tree.NodeID
 	total      int64
@@ -84,13 +86,13 @@ func feasibleSingle(f *tree.Flat, w int64) bool {
 	return f.MaxRequests() <= w
 }
 
-// Gen is the warm-path Algorithm 1. It produces the same normalized
-// solution as the package-level Gen: the recursion is replaced by a
-// value stack over the flat postorder — when an internal node is
-// reached, its children's pending couples are exactly the top
-// NumChildren stack entries in child order — and the placement
-// decisions depend only on the (total, dist) values, never on event
-// order, so the normalized result is identical.
+// Gen runs Algorithm 1. It produces the same normalized solution as
+// the recursive oracle: the recursion is replaced by a value stack
+// over the flat postorder — when an internal node is reached, its
+// children's pending couples are exactly the top NumChildren stack
+// entries in child order — and the placement decisions depend only on
+// the (total, dist) values, never on event order, so the normalized
+// result is identical.
 func (s *Session) Gen() (*core.Solution, error) {
 	in, f := s.in, s.flat
 	if !feasibleSingle(f, in.W) {
@@ -150,6 +152,10 @@ func (s *Session) Gen() (*core.Solution, error) {
 		default:
 			// Step 3b: forward the merged pending set upwards; the
 			// distance budget is the minimum over contributing children.
+			// (The paper takes the minimum over all children; a child
+			// forwarding nothing cannot constrain anything, and on
+			// instances where every client has requests the two
+			// definitions coincide.)
 			for i := 0; i < k; i++ {
 				p := &st[base+i]
 				if p.total == 0 {
@@ -192,8 +198,8 @@ func (s *Session) place(x tree.NodeID, p *genPending) {
 	p.dist = s.in.DMax
 }
 
-// NoD is the warm-path Algorithm 2. Unlike Gen it keeps the cold
-// path's method recursion: the sorted insert into Lj places a new
+// NoD runs Algorithm 2. Unlike Gen it keeps the oracle's method
+// recursion: the sorted insert into Lj places a new
 // entry before existing entries of equal total, so the exact
 // interleaving of re-attach and forward insertions matters for
 // tie-breaking, and recursion reproduces it verbatim. Method recursion
@@ -291,7 +297,9 @@ func (s *Session) nodVisit(j tree.NodeID) int64 {
 	if j != f.Root() {
 		return sum
 	}
-	// Step 2b: the root absorbs the remainder.
+	// Step 2b: the root absorbs the remainder. (The paper places a
+	// server unconditionally; we skip it when there is nothing left to
+	// serve.)
 	if sum > 0 {
 		s.sol.AddReplica(j)
 		for i := range l {
@@ -303,7 +311,7 @@ func (s *Session) nodVisit(j tree.NodeID) int64 {
 }
 
 // nodInsert adds e into the sorted list of node j (non-decreasing
-// total; equal totals keep the cold path's insert-before-equals rule).
+// total; equal totals keep the oracle's insert-before-equals rule).
 func (s *Session) nodInsert(j tree.NodeID, e nentry) {
 	l := s.lists[j]
 	k := sort.Search(len(l), func(i int) bool { return l[i].total >= e.total })

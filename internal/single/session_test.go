@@ -1,6 +1,7 @@
 package single
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,11 +25,29 @@ func sessionInstance(rng *rand.Rand) *core.Instance {
 	}, rng.Intn(2) == 0)
 }
 
-// TestSessionMatchesCold pins the warm-path contract: a Session solve
-// returns exactly the normalized solution of the package-level
-// functions, on many random instances and repeatedly on the same
-// session.
-func TestSessionMatchesCold(t *testing.T) {
+// sameOutcome fails unless a solve matches the oracle's outcome: the
+// same error text, or the same normalized solution.
+func sameOutcome(t *testing.T, what string, want *core.Solution, wantErr error, got *core.Solution, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle err %v, got err %v", what, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: oracle err %q, got err %q", what, wantErr, gotErr)
+		}
+		return
+	}
+	if !solutionsEqual(want, got) {
+		t.Fatalf("%s: oracle %v != got %v", what, want, got)
+	}
+}
+
+// TestSessionMatchesOracle pins the Session to the recursive oracle:
+// a Session solve, repeated on the same session, and the package-level
+// wrapper (validate, flatten, fresh session) all return exactly the
+// oracle's normalized solution or error, on many random instances.
+func TestSessionMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var s Session
 	var f tree.Flat
@@ -37,27 +56,34 @@ func TestSessionMatchesCold(t *testing.T) {
 		tree.FlattenInto(&f, in.Tree)
 		s.Reset(in, &f)
 		for round := 0; round < 2; round++ {
-			cold, coldErr := Gen(in)
-			warm, warmErr := s.Gen()
-			if (coldErr == nil) != (warmErr == nil) {
-				t.Fatalf("instance %d: gen cold err %v, warm err %v", i, coldErr, warmErr)
-			}
-			if coldErr == nil && !solutionsEqual(cold, warm) {
-				t.Fatalf("instance %d: gen cold %v != warm %v", i, cold, warm)
-			}
-			coldN, coldErrN := NoD(in)
-			warmN, warmErrN := s.NoD()
-			if (coldErrN == nil) != (warmErrN == nil) {
-				t.Fatalf("instance %d: nod cold err %v, warm err %v", i, coldErrN, warmErrN)
-			}
-			if coldErrN == nil && !solutionsEqual(coldN, warmN) {
-				t.Fatalf("instance %d: nod cold %v != warm %v", i, coldN, warmN)
-			}
+			want, wantErr := oracleGen(in)
+			got, gotErr := s.Gen()
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: session gen", i, round), want, wantErr, got, gotErr)
+			got, gotErr = Gen(in)
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: Gen", i, round), want, wantErr, got, gotErr)
+
+			want, wantErr = oracleNoD(in)
+			got, gotErr = s.NoD()
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: session nod", i, round), want, wantErr, got, gotErr)
+			got, gotErr = NoD(in)
+			sameOutcome(t, fmt.Sprintf("instance %d round %d: NoD", i, round), want, wantErr, got, gotErr)
 		}
+	}
+	// The wrappers validate before they flatten: an invalid instance
+	// fails with the oracle's validation error.
+	bad := &core.Instance{Tree: sessionInstance(rng).Tree, W: 0, DMax: core.NoDistance}
+	want, wantErr := oracleGen(bad)
+	got, gotErr := Gen(bad)
+	sameOutcome(t, "invalid instance: Gen", want, wantErr, got, gotErr)
+	want, wantErr = oracleNoD(bad)
+	got, gotErr = NoD(bad)
+	sameOutcome(t, "invalid instance: NoD", want, wantErr, got, gotErr)
+	if gotErr == nil {
+		t.Fatal("NoD accepted W=0")
 	}
 }
 
-// TestSessionInfeasible mirrors the cold error when a client exceeds W.
+// TestSessionInfeasible pins the error when a client exceeds W.
 func TestSessionInfeasible(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.Root("")

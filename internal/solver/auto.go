@@ -157,7 +157,8 @@ func (a *autoEngine) Solve(ctx context.Context, req Request) (Report, error) {
 		// The candidate request deliberately omits req.Scratch: Batch
 		// runs candidates concurrently and a Scratch is single-owner,
 		// so sharing it would race the session buffers (and alias the
-		// candidates' solutions into one arena).
+		// candidates' solutions into one arena). Each session-backed
+		// candidate solves on a one-off scratch instead.
 		creq := Request{
 			Instance: in,
 			Budget:   req.Budget,

@@ -42,9 +42,11 @@ type Options struct {
 	// solve goroutine is abandoned, which is safe for this
 	// repository's budgeted, side-effect-free solvers).
 	Timeout time.Duration
-	// WarmScratch lends each task a pooled Scratch, so warm-capable
-	// engines solve on reusable session buffers instead of allocating
+	// WarmScratch lends each task a pooled Scratch, so session-backed
+	// engines solve on reusable buffers instead of a one-off scratch
 	// per task — the fan-out path of the decomp engine's piece solves.
+	// The auto portfolio leaves it off: it does not pool (see
+	// onSession).
 	// Scratch-owned solutions are cloned into the Result before the
 	// scratch is pooled again, so results stay valid indefinitely.
 	// Tasks whose Request already carries a Scratch keep their own

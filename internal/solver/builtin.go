@@ -6,7 +6,6 @@ import (
 	"replicatree/internal/core"
 	"replicatree/internal/exact"
 	"replicatree/internal/hetero"
-	"replicatree/internal/lp"
 	"replicatree/internal/multiple"
 	"replicatree/internal/single"
 )
@@ -38,6 +37,14 @@ const (
 	Decomp = "decomp"
 )
 
+// SessionEngines returns the names of the engines a Scratch's
+// sessions implement, in registration order. They are the engines
+// whose solves a lent Request.Scratch makes allocation-free; every
+// other engine ignores it.
+func SessionEngines() []string {
+	return []string{SingleGen, SingleNoD, MultipleBin, MultipleLazy, MultipleBest, MultipleGreedy, LPRound}
+}
+
 // lpRoundMaxNodes caps lp-round in portfolios: the simplex tableau is
 // quadratic in the tree, so on huge instances it is the memory hog
 // the decomp route exists to avoid.
@@ -67,20 +74,37 @@ func plain(fn func(*core.Instance) (*core.Solution, error)) func(context.Context
 	}
 }
 
-// warmable pairs a cold solve function with its warm-path session
-// twin. When the request lends a Scratch and the instance ingests
-// cleanly, the solve runs on the scratch's reusable buffers — zero
-// heap allocations once warm, session-owned solution. Any ingest
-// failure (an invalid instance) falls back to the cold function,
-// which reproduces the validation error verbatim.
-func warmable(cold func(*core.Instance) (*core.Solution, error), warm func(*Scratch) (*core.Solution, error)) func(context.Context, Request) (*core.Solution, int64, error) {
+// onSession adapts a session solve to an engine solve function. The
+// solve runs on the request's lent Scratch — zero heap allocations once
+// warm, session-owned solution — or, when none is lent, on a one-off
+// NewScratch that is dropped after the solve. An invalid instance
+// fails ingest with its validation error.
+//
+// The one-off scratch deliberately does not come from the pool: a
+// pooled scratch keeps its dense LP matrices. A prototype that pooled
+// the unlent path (auto's candidates) raised the miss-solve
+// benchmark's peak RSS from ~130 MB to 452 MB on a 2-core machine; a
+// fresh scratch per solve kept it at ~133 MB. For the same reason the
+// unlent solve returns a copy of the Solution header rather than the
+// pointer into the scratch: the scratch, LP tableau included, is then
+// garbage as soon as the solve returns instead of living as long as
+// the Report (auto holds every candidate's Report until the race
+// ends).
+func onSession(solve func(*Scratch) (*core.Solution, error)) func(context.Context, Request) (*core.Solution, int64, error) {
 	return func(_ context.Context, req Request) (*core.Solution, int64, error) {
-		if sc := req.Scratch; sc != nil && sc.ingest(req.Instance) == nil {
-			sol, err := warm(sc)
+		sc, lent := req.Scratch, req.Scratch != nil
+		if !lent {
+			sc = NewScratch()
+		}
+		if err := sc.ingest(req.Instance); err != nil {
+			return nil, 0, err
+		}
+		sol, err := solve(sc)
+		if err != nil || lent {
 			return sol, 0, err
 		}
-		sol, err := cold(req.Instance)
-		return sol, 0, err
+		out := *sol
+		return &out, 0, nil
 	}
 }
 
@@ -99,10 +123,10 @@ func init() {
 	poly, expo := CostPolynomial, CostExponential
 	MustRegisterEngine(NewEngine(
 		caps(SingleGen, core.Single, false, true, false, poly, "Algorithm 1: greedy bottom-up, (Δ+1)-approximation"),
-		warmable(single.Gen, func(sc *Scratch) (*core.Solution, error) { return sc.single.Gen() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.single.Gen() })))
 	MustRegisterEngine(NewEngine(
 		caps(SingleNoD, core.Single, false, false, false, poly, "Algorithm 2: 2-approximation for Single without distance bound"),
-		warmable(single.NoD, func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.single.NoD() })))
 	MustRegisterEngine(NewEngine(
 		caps(SinglePassUp, core.Single, false, false, false, poly, "pass-up variant of Algorithm 2"),
 		plain(single.NoDPassUp)))
@@ -120,16 +144,16 @@ func init() {
 		})))
 	MustRegisterEngine(NewEngine(
 		caps(MultipleBin, core.Multiple, false, true, false, poly, "Algorithm 3 (eager): optimal on binary trees with ri ≤ W"),
-		warmable(multiple.Bin, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Bin() })))
 	MustRegisterEngine(NewEngine(
 		caps(MultipleLazy, core.Multiple, false, true, false, poly, "lazy variant of Algorithm 3"),
-		warmable(multiple.Lazy, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Lazy() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Lazy() })))
 	MustRegisterEngine(NewEngine(
 		caps(MultipleBest, core.Multiple, false, true, false, poly, "min(multiple-bin, multiple-lazy)"),
-		warmable(multiple.Best, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Best() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Best() })))
 	MustRegisterEngine(NewEngine(
 		caps(MultipleGreedy, core.Multiple, false, true, false, poly, "general-arity generalisation of Algorithm 3"),
-		warmable(multiple.Greedy, func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Greedy() })))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.multiple.Greedy() })))
 	MustRegisterEngine(NewDeltaEngine(
 		caps(MultipleReplan, core.Multiple, false, true, false, poly, "adapt a previous placement with minimal churn (delta engine)"),
 		func(_ context.Context, req Request) (*core.Solution, *multiple.Churn, int64, error) {
@@ -153,16 +177,7 @@ func init() {
 		exactFn(exact.SolveMultiple)))
 	MustRegisterEngine(NewEngine(
 		sized(caps(LPRound, core.Multiple, false, true, false, poly, "LP relaxation support rounding"), lpRoundMaxNodes),
-		func(_ context.Context, req Request) (*core.Solution, int64, error) {
-			if sc := req.Scratch; sc != nil && sc.ingest(req.Instance) == nil {
-				if s, ok := sc.lpSession(); ok {
-					sol, err := s.Placement()
-					return sol, 0, err
-				}
-			}
-			sol, err := lp.Placement(req.Instance)
-			return sol, 0, err
-		}))
+		onSession(func(sc *Scratch) (*core.Solution, error) { return sc.lpSession().Placement() })))
 	MustRegisterEngine(NewEngine(
 		caps(HeteroGreedy, core.Multiple, false, true, true, poly, "heterogeneous greedy, run at uniform capacity"),
 		plain(func(in *core.Instance) (*core.Solution, error) {

@@ -85,13 +85,13 @@ type Request struct {
 	// computation on hot paths, and the auto engine's "exact" hint
 	// ("force"/"skip") overrides its size gate for exact candidates.
 	Hints map[string]string
-	// Scratch, when non-nil, lends the engine reusable working memory
-	// for the warm solve path: the polynomial built-ins then solve on
-	// pooled session buffers with zero heap allocations once warm.
-	// The Report's Solution is owned by the scratch and valid only
-	// until its next solve — clone it before PutScratch. Engines
-	// without a warm path ignore the field. A Scratch must never be
-	// shared across concurrent requests.
+	// Scratch, when non-nil, lends the engine reusable working memory:
+	// the session-backed engines (SessionEngines) then solve on its
+	// buffers, with zero heap allocations once warm, instead of on a
+	// one-off scratch. The Report's Solution is owned by the scratch
+	// and valid only until its next solve — clone it before
+	// PutScratch. Every other engine ignores the field. A Scratch must
+	// never be shared across concurrent requests.
 	Scratch *Scratch
 	// Previous, when non-nil, hands a delta-capable engine
 	// (Capabilities.Delta) the placement it should adapt instead of
@@ -323,8 +323,8 @@ func fillBound(rep *Report, req Request) {
 	if rep.Solution == nil || req.Hint("no-lower-bound") != "" {
 		return
 	}
-	if sc := req.Scratch; sc != nil && sc.in == req.Instance {
-		rep.LowerBound = sc.bound.LowerBound(&sc.flat, req.Instance)
+	if sc := req.Scratch; sc != nil && sc.bound(req.Instance) {
+		rep.LowerBound = sc.tables.LowerBound(&sc.flat, req.Instance)
 	} else {
 		rep.LowerBound = core.LowerBound(req.Instance)
 	}

@@ -10,17 +10,17 @@ import (
 	"replicatree/internal/tree"
 )
 
-// Scratch is the reusable working memory of the warm solve path. A
-// request that lends one (Request.Scratch) lets the polynomial
-// built-in engines — single-gen, single-nod, the multiple-* family and
-// lp-round — run on pooled session buffers instead of fresh heap:
-// after the first solve has grown the buffers, a warm solve on an
-// already-ingested instance performs zero heap allocations and returns
-// the same Report the cold path would (the session parity tests in
-// internal/single, internal/multiple and internal/lp pin solution
-// equality; the TestAllocs gate pins the allocation count).
+// Scratch is the working memory of the session-backed engines
+// (SessionEngines): the flat SoA twin of an instance plus the
+// per-algorithm sessions that implement them. Those engines always
+// solve on a Scratch — the one a request lends (Request.Scratch), or a
+// one-off one when it lends none. A lent scratch keeps its buffers
+// across solves: after the first solve has grown them, a warm solve on
+// an already-ingested instance performs zero heap allocations and
+// returns the same Report as an unlent solve (TestAllocs pins the
+// allocation count, TestLentMatchesUnlentCorpus the Reports).
 //
-// Ingestion is implicit: each warm-capable engine ingests the
+// Ingestion is implicit: each session-backed engine ingests the
 // request's instance on first sight, validating it once and building
 // the flat SoA twin plus the per-algorithm sessions. Re-solving the
 // same *core.Instance (same tree pointer, W and DMax) skips ingestion
@@ -30,9 +30,9 @@ import (
 //   - A Scratch is NOT safe for concurrent use. Never share one
 //     across goroutines (the auto portfolio deliberately strips it
 //     from its candidate requests for this reason).
-//   - Report.Solution from a warm solve points into the scratch and
-//     is valid only until the next solve on it. Clone the solution
-//     before releasing the scratch with PutScratch.
+//   - Report.Solution from a solve on a lent scratch points into the
+//     scratch and is valid only until the next solve on it. Clone the
+//     solution before releasing the scratch with PutScratch.
 type Scratch struct {
 	// Ingest key: pointer identity of the instance and its tree plus
 	// the scalar knobs, so a mutated-in-place instance re-ingests.
@@ -42,7 +42,7 @@ type Scratch struct {
 	dmax int64
 
 	flat     tree.Flat
-	bound    core.Scratch // fillBound's alloc-free LowerBound tables
+	tables   core.Scratch // alloc-free LowerBound and Verify tables
 	single   single.Session
 	multiple multiple.Session
 
@@ -51,7 +51,6 @@ type Scratch struct {
 	// lazily on the first lp-round solve of each ingested instance.
 	lp      lp.Session
 	lpBound bool // lp.Reset ran for the current instance
-	lpOK    bool // ... and succeeded
 }
 
 // NewScratch returns a fresh unpooled Scratch. Most callers should
@@ -80,7 +79,7 @@ func PutScratch(sc *Scratch) {
 // allocate (buffer growth, LP matrices); only the subsequent solves
 // are allocation-free.
 func (sc *Scratch) ingest(in *core.Instance) error {
-	if sc.in == in && sc.tr == in.Tree && sc.w == in.W && sc.dmax == in.DMax {
+	if sc.bound(in) {
 		return nil
 	}
 	sc.in = nil // stay unbound if validation fails
@@ -95,6 +94,14 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 	return nil
 }
 
+// bound reports whether the scratch's flat twin and sessions belong to
+// in: the same instance pointer, tree pointer, W and DMax as the last
+// ingest. Anything else — including an instance whose Tree, W or DMax
+// was changed in place — must be ingested again.
+func (sc *Scratch) bound(in *core.Instance) bool {
+	return sc.in == in && sc.tr == in.Tree && sc.w == in.W && sc.dmax == in.DMax
+}
+
 // Verify checks sol against in exactly like core.Verify, but with the
 // scratch's verification tables, so checking a feasible solution of
 // an ingested instance allocates nothing once the scratch has grown.
@@ -103,19 +110,18 @@ func (sc *Scratch) ingest(in *core.Instance) error {
 // scratch's own twin and sessions as they were. in must be validated,
 // as every decoded instance is.
 func (sc *Scratch) Verify(in *core.Instance, pol core.Policy, sol *core.Solution) error {
-	if sc.in != in || sc.tr != in.Tree || sc.w != in.W || sc.dmax != in.DMax {
-		return sc.bound.Verify(tree.Flatten(in.Tree), in, pol, sol)
+	if !sc.bound(in) {
+		return sc.tables.Verify(tree.Flatten(in.Tree), in, pol, sol)
 	}
-	return sc.bound.Verify(&sc.flat, in, pol, sol)
+	return sc.tables.Verify(&sc.flat, in, pol, sol)
 }
 
-// lpSession returns the lazily-ingested LP session, or ok=false when
-// the relaxation could not be built (the caller then falls back to the
-// cold path, which reproduces the build error verbatim).
-func (sc *Scratch) lpSession() (*lp.Session, bool) {
+// lpSession returns the LP session, ingesting the current instance on
+// its first lp-round solve.
+func (sc *Scratch) lpSession() *lp.Session {
 	if !sc.lpBound {
 		sc.lpBound = true
-		sc.lpOK = sc.lp.Reset(sc.in, &sc.flat) == nil
+		sc.lp.Reset(sc.in, &sc.flat)
 	}
-	return &sc.lp, sc.lpOK
+	return &sc.lp
 }

@@ -70,3 +70,33 @@ func BenchmarkVerifyUnbound(b *testing.B) {
 		})
 	}
 }
+
+// TestReboundInstanceRefreshesBound pins that a Report's lower bound
+// never comes from a stale flat twin: after single-gen ingests an
+// instance on a scratch and the instance's tree is then replaced in
+// place, a solve on the same scratch by an engine that ingests nothing
+// (multiple-replan) must report the new tree's bound, not the old one.
+func TestReboundInstanceRefreshesBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	small := gen.RandomTree(rng, gen.TreeConfig{Internals: 2, MaxReq: 2})
+	large := gen.RandomTree(rng, gen.TreeConfig{Internals: 40, MaxArity: 3, MaxReq: 10, ExtraClients: 20})
+	in := &core.Instance{Tree: small, W: 10, DMax: core.NoDistance}
+	ctx := context.Background()
+	sc := NewScratch()
+	if _, err := MustLookup(SingleGen).Solve(ctx, Request{Instance: in, Scratch: sc}); err != nil {
+		t.Fatal(err)
+	}
+	stale := core.LowerBound(in)
+	in.Tree = large
+	want := core.LowerBound(in)
+	if want == stale {
+		t.Fatalf("both trees bound at %d; the test needs different bounds", want)
+	}
+	rep, err := MustLookup(MultipleReplan).Solve(ctx, Request{Instance: in, Scratch: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LowerBound != want {
+		t.Fatalf("rebound instance: Report.LowerBound %d, core.LowerBound %d (stale tree: %d)", rep.LowerBound, want, stale)
+	}
+}

@@ -1,11 +1,11 @@
 package replicatree_test
 
-// Warm-path gates: the zero-allocation guarantee of the scratch-based
-// solve path and its behavioural equality with the cold path.
+// Warm-path gates: the zero-allocation guarantee of a solve on a lent
+// scratch and its behavioural equality with an unlent solve.
 //
 // TestAllocs is the CI tripwire for the tentpole invariant: a warm
 // Engine.Solve — scratch lent, instance already ingested — performs
-// zero heap allocations for every warm-capable engine. It measures
+// zero heap allocations for every session-backed engine. It measures
 // through the public Engine seam, so a regression anywhere on the
 // path (session, Normalize, Verify, fillBound, the dispatch itself)
 // trips it. Set REPLICATREE_SKIP_ALLOC_GATE=1 to skip it temporarily,
@@ -13,10 +13,12 @@ package replicatree_test
 // (-race and -msan builds skip automatically: their instrumentation
 // allocates).
 //
-// TestWarmMatchesColdCorpus is the metamorphic twin: over the full
-// frozen testdata/ corpus, a warm solve must return the exact Report
-// of a cold solve — same solution, bound, gap, policy — and repeat it
-// on a re-solve of the already-warm scratch.
+// TestLentMatchesUnlentCorpus is the metamorphic twin: over the full
+// frozen testdata/ corpus, a solve on a lent scratch must return the
+// exact Report of an unlent solve (which runs on a one-off scratch) —
+// same solution, bound, gap, policy — and repeat it on a re-solve of
+// the already-warm scratch. The bound is where the two differ in
+// mechanism: a lent, bound scratch computes it on its own tables.
 
 import (
 	"context"
@@ -32,32 +34,6 @@ import (
 	"replicatree/internal/solver"
 )
 
-// warmEngines are the engines with a scratch-backed warm path; every
-// other engine ignores Request.Scratch.
-var warmEngines = []string{
-	solver.SingleGen,
-	solver.SingleNoD,
-	solver.MultipleBin,
-	solver.MultipleLazy,
-	solver.MultipleBest,
-	solver.MultipleGreedy,
-	solver.LPRound,
-}
-
-// allocInstance builds the ~200-node binary instance the allocation
-// gate solves: binary so multiple-bin applies, W ≥ max rᵢ so the
-// Multiple preconditions hold.
-func allocInstance(seed int64, withDistance bool) *core.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	in := gen.RandomInstance(rng, gen.TreeConfig{
-		Internals: 150, MaxArity: 2, MaxDist: 4, MaxReq: 10,
-	}, withDistance)
-	if in.W < in.Tree.MaxRequests() {
-		in.W = in.Tree.MaxRequests()
-	}
-	return in
-}
-
 func TestAllocs(t *testing.T) {
 	if os.Getenv("REPLICATREE_SKIP_ALLOC_GATE") != "" {
 		t.Skip("REPLICATREE_SKIP_ALLOC_GATE set")
@@ -66,11 +42,11 @@ func TestAllocs(t *testing.T) {
 		t.Skip("coverage instrumentation allocates")
 	}
 	skipIfInstrumented(t)
-	dist := allocInstance(71, true)
-	nod := allocInstance(73, false)
+	dist := gen.BenchInstance(71, 150, true)
+	nod := gen.BenchInstance(73, 150, false)
 	ctx := context.Background()
 	sc := solver.NewScratch()
-	for _, name := range warmEngines {
+	for _, name := range solver.SessionEngines() {
 		eng := solver.MustLookup(name)
 		in := dist
 		if !eng.Capabilities().SupportsDMax {
@@ -97,10 +73,11 @@ func TestAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmMatchesColdCorpus solves every corpus instance cold and warm
-// through the public Engine seam and requires identical Reports,
-// including on a second solve of the already-warm scratch.
-func TestWarmMatchesColdCorpus(t *testing.T) {
+// TestLentMatchesUnlentCorpus solves every corpus instance unlent and
+// on a lent scratch through the public Engine seam and requires
+// identical Reports, including on a second solve of the already-warm
+// scratch.
+func TestLentMatchesUnlentCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -121,30 +98,30 @@ func TestWarmMatchesColdCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		n++
-		for _, name := range warmEngines {
+		for _, name := range solver.SessionEngines() {
 			eng := solver.MustLookup(name)
-			cold, coldErr := eng.Solve(ctx, solver.Request{Instance: &in})
-			wreq := solver.Request{Instance: &in, Scratch: sc}
+			unlent, unlentErr := eng.Solve(ctx, solver.Request{Instance: &in})
+			lreq := solver.Request{Instance: &in, Scratch: sc}
 			for round := 1; round <= 2; round++ {
-				warm, warmErr := eng.Solve(ctx, wreq)
-				if (coldErr == nil) != (warmErr == nil) {
-					t.Fatalf("%s %s round %d: cold err %v, warm err %v", file, name, round, coldErr, warmErr)
+				lent, lentErr := eng.Solve(ctx, lreq)
+				if (unlentErr == nil) != (lentErr == nil) {
+					t.Fatalf("%s %s round %d: unlent err %v, lent err %v", file, name, round, unlentErr, lentErr)
 				}
-				if coldErr != nil {
-					if coldErr.Error() != warmErr.Error() {
-						t.Errorf("%s %s round %d: cold err %q, warm err %q", file, name, round, coldErr, warmErr)
+				if unlentErr != nil {
+					if unlentErr.Error() != lentErr.Error() {
+						t.Errorf("%s %s round %d: unlent err %q, lent err %q", file, name, round, unlentErr, lentErr)
 					}
 					continue
 				}
-				if !slices.Equal(cold.Solution.Replicas, warm.Solution.Replicas) ||
-					!slices.Equal(cold.Solution.Assignments, warm.Solution.Assignments) {
-					t.Errorf("%s %s round %d: solutions differ\n cold %v\n warm %v",
-						file, name, round, cold.Solution, warm.Solution)
+				if !slices.Equal(unlent.Solution.Replicas, lent.Solution.Replicas) ||
+					!slices.Equal(unlent.Solution.Assignments, lent.Solution.Assignments) {
+					t.Errorf("%s %s round %d: solutions differ\n unlent %v\n lent %v",
+						file, name, round, unlent.Solution, lent.Solution)
 				}
-				if cold.Policy != warm.Policy || cold.LowerBound != warm.LowerBound ||
-					cold.Gap != warm.Gap || cold.Proved != warm.Proved || cold.Engine != warm.Engine {
-					t.Errorf("%s %s round %d: report metadata differs\n cold %+v\n warm %+v",
-						file, name, round, cold, warm)
+				if unlent.Policy != lent.Policy || unlent.LowerBound != lent.LowerBound ||
+					unlent.Gap != lent.Gap || unlent.Proved != lent.Proved || unlent.Engine != lent.Engine {
+					t.Errorf("%s %s round %d: report metadata differs\n unlent %+v\n lent %+v",
+						file, name, round, unlent, lent)
 				}
 			}
 		}
@@ -155,8 +132,9 @@ func TestWarmMatchesColdCorpus(t *testing.T) {
 }
 
 // TestScratchPool pins the pooling contract: a pooled scratch is
-// reusable across distinct instances, and an invalid instance leaves
-// the warm path untouched (falls back cold with the same error).
+// reusable across distinct instances, and an invalid instance fails
+// ingest on a lent scratch with the same validation error as on an
+// unlent one.
 func TestScratchPool(t *testing.T) {
 	ctx := context.Background()
 	eng := solver.MustLookup(solver.SingleGen)
@@ -165,24 +143,24 @@ func TestScratchPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for i := 0; i < 5; i++ {
 		in := gen.RandomInstance(rng, gen.TreeConfig{Internals: 10}, true)
-		cold, coldErr := eng.Solve(ctx, solver.Request{Instance: in})
-		warm, warmErr := eng.Solve(ctx, solver.Request{Instance: in, Scratch: sc})
-		if coldErr != nil || warmErr != nil {
-			t.Fatalf("instance %d: cold err %v, warm err %v", i, coldErr, warmErr)
+		unlent, unlentErr := eng.Solve(ctx, solver.Request{Instance: in})
+		lent, lentErr := eng.Solve(ctx, solver.Request{Instance: in, Scratch: sc})
+		if unlentErr != nil || lentErr != nil {
+			t.Fatalf("instance %d: unlent err %v, lent err %v", i, unlentErr, lentErr)
 		}
-		if !slices.Equal(cold.Solution.Replicas, warm.Solution.Replicas) {
+		if !slices.Equal(unlent.Solution.Replicas, lent.Solution.Replicas) {
 			t.Fatalf("instance %d: solutions differ", i)
 		}
 	}
 
-	// An invalid instance must produce the cold validation error.
+	// An invalid instance must produce the unlent validation error.
 	bad := &core.Instance{Tree: gen.RandomTree(rng, gen.TreeConfig{Internals: 4}), W: 0, DMax: core.NoDistance}
-	coldRep, coldErr := eng.Solve(ctx, solver.Request{Instance: bad})
-	warmRep, warmErr := eng.Solve(ctx, solver.Request{Instance: bad, Scratch: sc})
-	if coldErr == nil || warmErr == nil {
-		t.Fatalf("invalid instance accepted: cold (%v, %v), warm (%v, %v)", coldRep, coldErr, warmRep, warmErr)
+	unlentRep, unlentErr := eng.Solve(ctx, solver.Request{Instance: bad})
+	lentRep, lentErr := eng.Solve(ctx, solver.Request{Instance: bad, Scratch: sc})
+	if unlentErr == nil || lentErr == nil {
+		t.Fatalf("invalid instance accepted: unlent (%v, %v), lent (%v, %v)", unlentRep, unlentErr, lentRep, lentErr)
 	}
-	if coldErr.Error() != warmErr.Error() {
-		t.Fatalf("invalid instance: cold err %q, warm err %q", coldErr, warmErr)
+	if unlentErr.Error() != lentErr.Error() {
+		t.Fatalf("invalid instance: unlent err %q, lent err %q", unlentErr, lentErr)
 	}
 }
